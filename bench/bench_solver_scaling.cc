@@ -18,12 +18,10 @@
  * the software baseline.  Each run reports the incremental
  * energy-plane cache's hit rate (--energy-cache=0 disables it).
  *
- * With --shards=N the sharded solver is timed three ways per
- * workload — synchronous halo exchange, overlapped (boundary-first)
- * serial, and overlapped at 4 intra-rank threads — and every run row
- * records overlap_halo, threads and the halo_wait_ns counter delta,
- * so the JSON shows how much ghost-row latency the overlap hides
- * even on a single-core container.
+ * With --shards=N the sharded solver is also timed per workload at 1
+ * and 2 intra-rank threads, and every run row records threads and
+ * the halo_wait_ns counter delta, so the JSON shows how long the
+ * ranks sat blocked on ghost rows.
  */
 
 #include <chrono>
@@ -51,8 +49,6 @@ struct RunResult
     int threads = 0;
     int stripes = 0;
     int shards = 1;                 ///< 1 = single-process solver
-    const char *transport = "none"; ///< loopback|socket when sharded
-    bool overlapHalo = false;       ///< boundary-first schedule
     double seconds = 0.0;
     double pixelsPerSec = 0.0;
     double cacheHitRate = 0.0;      ///< energy planes served clean
@@ -78,9 +74,7 @@ struct CacheCounters
 };
 
 /** Cumulative time the shard layer spent blocked on inbound ghost
- *  rows (shard.halo.wait_ns), read back like the cache counters; the
- *  per-run delta shows how much halo latency the overlapped schedule
- *  actually hides. */
+ *  rows (shard.halo.wait_ns), read back like the cache counters. */
 std::uint64_t
 haloWaitNow()
 {
@@ -112,23 +106,14 @@ RunResult
 measure(const mrf::MrfProblem &problem,
         const bench::SamplerFactory &factory, mrf::SolverConfig cfg,
         int threads, int stripes,
-        const shard::ShardOptions &shards = {},
-        bool overlapHalo = false)
+        const shard::ShardOptions &shards = {})
 {
     cfg.threads = threads;
     cfg.stripes = stripes;
-    cfg.overlapHalo = overlapHalo;
     RunResult r;
     r.threads = threads;
     r.stripes = stripes;
-    r.overlapHalo = overlapHalo;
-    if (shards.shards > 1) {
-        r.shards = shards.shards;
-        r.transport =
-            shards.transport == shard::ShardOptions::Transport::Socket
-                ? "socket"
-                : "loopback";
-    }
+    r.shards = shards.shards;
     const CacheCounters before = CacheCounters::now();
     const std::uint64_t waitBefore = haloWaitNow();
     r.seconds = timeSolve(problem, factory, cfg, shards);
@@ -151,11 +136,10 @@ void
 printRun(const RunResult &r, double serial_s)
 {
     if (r.shards > 1)
-        std::printf("  shards=%2d (%s) stripes=%2d threads=%d "
-                    "overlap=%s  %8.3f s  %12.0f px/s  "
-                    "halo-wait %6.2f ms  cache-hit %5.1f%%  %.2fx\n",
-                    r.shards, r.transport, r.stripes, r.threads,
-                    r.overlapHalo ? "on" : "off", r.seconds,
+        std::printf("  shards=%2d stripes=%2d threads=%d  %8.3f s  "
+                    "%12.0f px/s  halo-wait %6.2f ms  "
+                    "cache-hit %5.1f%%  %.2fx\n",
+                    r.shards, r.stripes, r.threads, r.seconds,
                     r.pixelsPerSec,
                     static_cast<double>(r.haloWaitNs) / 1e6,
                     100.0 * r.cacheHitRate, serial_s / r.seconds);
@@ -182,9 +166,8 @@ main(int argc, char **argv)
     const std::string sampler_arg = args.getString("sampler", "");
     const std::string race_arg = args.getString("race-mode", "auto");
     const bool energy_cache = args.getBool("energy-cache", true);
-    // --shards=N (with --shard-transport=loopback|socket) appends a
-    // multi-shard run per workload so sharded throughput lands in the
-    // same perf trajectory file.
+    // --shards=N appends multi-shard runs per workload so sharded
+    // throughput lands in the same perf trajectory file.
     const shard::ShardOptions shard_options =
         shard::shardOptionsFromCli(args);
     const int hw = static_cast<int>(
@@ -330,21 +313,12 @@ main(int argc, char **argv)
         for (int t : thread_set)
             runs.push_back(
                 measure(*w.problem, w.factory, w.cfg, t, stripes));
-        if (shard_options.shards > 1) {
-            // Synchronous (PR 8 reference), then the boundary-first
-            // overlapped schedule serial and threaded — same results
-            // byte for byte, so the deltas are pure communication
-            // hiding + intra-rank scaling.
-            runs.push_back(measure(*w.problem, w.factory, w.cfg, 1,
-                                   stripes, shard_options,
-                                   /*overlapHalo=*/false));
-            runs.push_back(measure(*w.problem, w.factory, w.cfg, 1,
-                                   stripes, shard_options,
-                                   /*overlapHalo=*/true));
-            runs.push_back(measure(*w.problem, w.factory, w.cfg, 4,
-                                   stripes, shard_options,
-                                   /*overlapHalo=*/true));
-        }
+        // Sharded at 1 and 2 threads per rank: same results byte
+        // for byte, so the delta is pure intra-rank scaling.
+        if (shard_options.shards > 1)
+            for (int t : {1, 2})
+                runs.push_back(measure(*w.problem, w.factory, w.cfg, t,
+                                       stripes, shard_options));
         for (const RunResult &r : runs)
             printRun(r, serial.seconds);
 
@@ -366,13 +340,11 @@ main(int argc, char **argv)
             std::fprintf(
                 f,
                 "%s\n        {\"threads\": %d, \"stripes\": %d, "
-                "\"shards\": %d, \"transport\": \"%s\", "
-                "\"overlap_halo\": %s, \"halo_wait_ns\": %llu, "
+                "\"shards\": %d, \"halo_wait_ns\": %llu, "
                 "\"seconds\": %.6f, \"pixels_per_s\": %.1f, "
                 "\"energy_cache_hit_rate\": %.4f, "
                 "\"speedup_vs_serial\": %.3f}",
                 i == 0 ? "" : ",", r.threads, r.stripes, r.shards,
-                r.transport, r.overlapHalo ? "true" : "false",
                 static_cast<unsigned long long>(r.haloWaitNs),
                 r.seconds, r.pixelsPerSec, r.cacheHitRate,
                 serial.seconds / r.seconds);

@@ -7,10 +7,8 @@
  *
  *   ./denoising [--sigma=25] [--levels=32] [--sweeps=40] [--outdir=.]
  *
- * Sharded runs (shard/shard_cli.hh) take [--shards=N]
- * [--shard-transport=loopback|socket] [--threads=N]
- * [--overlap-halo=on|off]; every combination produces the
- * byte-identical result.
+ * Sharded runs (shard/shard_cli.hh) take [--shards=N] [--threads=N];
+ * every combination produces the byte-identical result.
  */
 
 #include <cstdio>

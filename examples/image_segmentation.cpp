@@ -8,10 +8,8 @@
  *   ./image_segmentation [--segments=4] [--sweeps=30] [--seed=9001]
  *                        [--outdir=.]
  *
- * Sharded runs (shard/shard_cli.hh) take [--shards=N]
- * [--shard-transport=loopback|socket] [--threads=N]
- * [--overlap-halo=on|off]; every combination produces the
- * byte-identical result.
+ * Sharded runs (shard/shard_cli.hh) take [--shards=N] [--threads=N];
+ * every combination produces the byte-identical result.
  */
 
 #include <cstdio>

@@ -8,10 +8,8 @@
  *   ./motion_estimation [--scene=venus|rubberwhale|dimetrodon]
  *                       [--sweeps=150] [--outdir=.]
  *
- * Sharded runs (shard/shard_cli.hh) take [--shards=N]
- * [--shard-transport=loopback|socket] [--threads=N]
- * [--overlap-halo=on|off]; every combination produces the
- * byte-identical result.
+ * Sharded runs (shard/shard_cli.hh) take [--shards=N] [--threads=N];
+ * every combination produces the byte-identical result.
  */
 
 #include <cmath>

@@ -8,10 +8,8 @@
  *   ./stereo_vision [--scene=teddy|poster|art] [--sweeps=200]
  *                   [--outdir=.]
  *
- * Sharded runs (shard/shard_cli.hh) take [--shards=N]
- * [--shard-transport=loopback|socket] plus the schedule knobs
- * [--threads=N] (intra-rank stripe threads) and [--overlap-halo=on]
- * (hide ghost-row transfer behind interior compute); every
+ * Sharded runs (shard/shard_cli.hh) take [--shards=N] plus the
+ * schedule knob [--threads=N] (intra-rank stripe threads); every
  * combination produces the byte-identical result.
  *
  * Users with real data (e.g. Middlebury pairs converted to PGM) can

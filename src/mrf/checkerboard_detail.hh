@@ -3,7 +3,7 @@
  * Shared internals of the chromatic (checkerboard) Gibbs schedule.
  *
  * CheckerboardGibbsSolver (single process, serial or striped) and
- * shard::ShardedCheckerboardSolver (multi-process tile/halo
+ * shard::ShardedCheckerboardSolver (rank-thread tile/halo
  * decomposition) must produce byte-identical results for the same
  * (seed, stripe count) — the per-site determinism contract the CI
  * shard-equivalence leg enforces.  The only way to keep two solvers

@@ -35,8 +35,8 @@ class LabelSampler;
  * @p labels and returns the final labeling.  When a SolverConfig
  * carries a non-empty backend, mrf::runSolver() routes the solve
  * through it instead of the default raster GibbsSolver — the hook the
- * shard layer uses to swap in the multi-process sharded checkerboard
- * solver without the apps (or mrf itself) linking against it.
+ * shard layer uses to swap in the sharded checkerboard solver without
+ * the apps (or mrf itself) linking against it.
  */
 using SolverBackend = std::function<img::LabelMap(
     const SolverConfig &config, const MrfProblem &problem,
@@ -84,20 +84,6 @@ struct SolverConfig
      * problem-dependent stripe count (min(height, 16)).
      */
     int stripes = 0;
-    /**
-     * Sharded runs only (shard/sharded_solver.hh): schedule each
-     * color phase boundary-first — compute the stripes owning the
-     * rank's boundary rows, post their ghost rows to the neighbor
-     * ranks asynchronously, and overlap the interior stripes with the
-     * halo transfer, waiting on inbound ghosts only right before the
-     * next phase consumes them.  Results are byte-identical either
-     * way (stripe order is free to change: every stripe draws from
-     * its own (seed, sweep, color, stripe) RNG stream and all
-     * neighbor reads within a phase are frozen other-color pixels),
-     * so this is purely a communication-hiding knob.  Off by default;
-     * the single-process solvers have no halos and ignore it.
-     */
-    bool overlapHalo = false;
     /**
      * Flip-aware incremental energy-plane cache: keep every pixel's
      * conditional-energy plane across sweeps and recompute only

@@ -340,75 +340,6 @@ Registry::toJson() const
 }
 
 void
-Registry::applyDelta(const std::vector<MetricSnapshot> &delta)
-{
-    for (const MetricSnapshot &m : delta) {
-        switch (m.kind) {
-        case MetricKind::Counter:
-            add(counter(m.name), m.counter);
-            break;
-        case MetricKind::Histogram: {
-            MetricId id = histogram(m.name, m.histogram.bounds);
-            std::lock_guard<std::mutex> lock(mutex_);
-            metrics_[id.index].histogram.merge(m.histogram);
-            break;
-        }
-        case MetricKind::Gauge:
-            // Last-write values: a remote worker's gauge has no
-            // meaningful merge with the coordinator's.
-            break;
-        }
-    }
-}
-
-std::vector<MetricSnapshot>
-diffSnapshots(const std::vector<MetricSnapshot> &before,
-              const std::vector<MetricSnapshot> &after)
-{
-    RETSIM_ASSERT(before.size() <= after.size(),
-                  "diffSnapshots: 'after' lost registrations");
-    std::vector<MetricSnapshot> out;
-    for (std::size_t i = 0; i < after.size(); ++i) {
-        MetricSnapshot d = after[i];
-        if (i < before.size()) {
-            RETSIM_ASSERT(before[i].name == d.name &&
-                              before[i].kind == d.kind,
-                          "diffSnapshots: snapshots diverge at '",
-                          d.name, "'");
-            switch (d.kind) {
-            case MetricKind::Counter:
-                RETSIM_ASSERT(before[i].counter <= d.counter,
-                              "diffSnapshots: counter '", d.name,
-                              "' went backwards");
-                d.counter -= before[i].counter;
-                break;
-            case MetricKind::Histogram: {
-                const HistogramData &b = before[i].histogram;
-                RETSIM_ASSERT(b.bounds == d.histogram.bounds,
-                              "diffSnapshots: histogram '", d.name,
-                              "' changed bucket layout");
-                for (std::size_t j = 0; j < d.histogram.counts.size();
-                     ++j)
-                    d.histogram.counts[j] -= b.counts[j];
-                d.histogram.sum -= b.sum;
-                d.histogram.count -= b.count;
-                break;
-            }
-            case MetricKind::Gauge:
-                break;
-            }
-        }
-        const bool active =
-            (d.kind == MetricKind::Counter && d.counter != 0) ||
-            (d.kind == MetricKind::Histogram &&
-             d.histogram.count != 0);
-        if (active)
-            out.push_back(std::move(d));
-    }
-    return out;
-}
-
-void
 Registry::reset()
 {
     std::lock_guard<std::mutex> lock(mutex_);

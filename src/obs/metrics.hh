@@ -152,20 +152,6 @@ class Registry
     /** Registry snapshot as a JSON object string. */
     std::string toJson() const;
 
-    /**
-     * Merge a delta produced by diffSnapshots() into this registry:
-     * counters add, histograms register-and-merge (bounds must match
-     * any existing registration), gauges are skipped (last-write
-     * values have no meaningful cross-process merge).  Metrics the
-     * delta names but this registry has not seen yet are registered
-     * on the fly, so a worker process can fold back metrics the
-     * parent never touched.  Together with diffSnapshots this is the
-     * cross-process counterpart of MetricShard::fold(): plain sums,
-     * so any process/shard decomposition yields exactly the totals of
-     * a serial run.
-     */
-    void applyDelta(const std::vector<MetricSnapshot> &delta);
-
     /** Zero every value; registrations (names, bounds) survive. */
     void reset();
 
@@ -187,18 +173,6 @@ class Registry
     mutable std::mutex mutex_;
     std::vector<Metric> metrics_;
 };
-
-/**
- * Per-metric difference @p after - @p before, for shipping a worker
- * process's metric activity back to a coordinator.  @p before must be
- * a prefix of @p after in registration order (the worker only ever
- * appends registrations), histogram bounds must match, and entries
- * with no activity are dropped.  Gauges are carried verbatim from
- * @p after but ignored by applyDelta().
- */
-std::vector<MetricSnapshot>
-diffSnapshots(const std::vector<MetricSnapshot> &before,
-              const std::vector<MetricSnapshot> &after);
 
 } // namespace obs
 } // namespace retsim

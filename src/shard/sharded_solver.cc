@@ -4,12 +4,8 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <thread>
 #include <vector>
-
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include "mrf/checkerboard.hh"
 #include "mrf/checkerboard_detail.hh"
@@ -72,9 +68,9 @@ nsSince(std::chrono::steady_clock::time_point t0)
             .count());
 }
 
-/** Flags every rank must agree on, computed by rank 0 before spawn
- *  (workers inherit them by fork / thread capture) so both sides of
- *  every conditional message derive the same frame sequence. */
+/** Flags every rank must agree on, computed by rank 0 before the
+ *  worker threads start so both sides of every conditional message
+ *  derive the same frame sequence. */
 struct ShardSpec
 {
     int startSweep = 0;
@@ -97,22 +93,6 @@ gatherNeeded(const ShardSpec &spec, const mrf::SolverConfig &config,
             mrf::detail::shouldCheckpoint(config, sweep + 1));
 }
 
-/** Crash-drill trigger, evaluated identically on the dying worker and
- *  on rank 0: first checkpointed sweep >= dieAtSweep, never the last
- *  sweep, and only when the run actually passes through it (a resumed
- *  run that starts past the trigger completes normally). */
-bool
-dieSweep(const ShardOptions &options, const ShardSpec &spec,
-         const mrf::SolverConfig &config, int sweep)
-{
-    return options.dieRank >= 0 && options.dieAtSweep > 0 &&
-           spec.checkpointing &&
-           sweep + 1 >= options.dieAtSweep &&
-           spec.startSweep < options.dieAtSweep &&
-           sweep + 1 < config.annealing.sweeps &&
-           mrf::detail::shouldCheckpoint(config, sweep + 1);
-}
-
 /** The rank that folds the full cache stats (including the one
  *  rebuild + one shadow sync a serial run records).  Usually rank 0;
  *  rank 0 can be empty (and cache-less) when shards > stripes. */
@@ -128,16 +108,14 @@ firstNonEmptyRank(const TilePartition &part)
 /**
  * One rank's compute state and per-phase work: its contiguous run of
  * global stripes, a PRIVATE full-size label map (ghost rows refreshed
- * by message, so loopback threads and socket processes execute
- * identical code paths), and a private energy-plane cache covering
- * its rows.
+ * by message), and a private energy-plane cache covering its rows.
  */
 struct TileWork
 {
     const mrf::SolverConfig &config;
     const mrf::MrfProblem &problem;
     const TilePartition &part;
-    ShardTransport &tr;
+    LoopbackMesh::Endpoint tr;
     img::LabelMap &labels;
     std::vector<std::unique_ptr<mrf::LabelSampler>> &clones;
 
@@ -155,13 +133,6 @@ struct TileWork
     std::vector<std::vector<std::uint64_t>> deferred;
     std::vector<obs::MetricShard> shards;
 
-    /** Boundary-first overlapped schedule (SolverConfig::overlapHalo):
-     *  ghost rows posted asynchronously after the boundary stripes,
-     *  consumed at the start of the NEXT phase. */
-    bool overlap = false;
-    /** True while a posted halo has not been consumed yet (cleared on
-     *  (re)start, so the first phase after resume never waits). */
-    bool ghostsInFlight = false;
     /** Intra-rank stripe dispatch (SolverConfig::threads, same rule
      *  as the single-process checkerboard solver). */
     std::unique_ptr<util::ThreadPool> pool;
@@ -174,7 +145,7 @@ struct TileWork
 
     TileWork(const mrf::SolverConfig &cfg,
              const mrf::MrfProblem &prob, const TilePartition &p,
-             ShardTransport &transport, img::LabelMap &lab,
+             LoopbackMesh::Endpoint transport, img::LabelMap &lab,
              std::vector<std::unique_ptr<mrf::LabelSampler>> &cl,
              int r)
         : config(cfg), problem(prob), part(p), tr(transport),
@@ -214,7 +185,6 @@ struct TileWork
         shards.reserve(n);
         for (std::size_t i = 0; i < n; ++i)
             shards.push_back(reg.makeShard());
-        overlap = config.overlapHalo;
         // parallelFor's caller participates, so a pool of threads-1
         // workers yields exactly `threads` concurrent executors —
         // the single-process solver's sizing rule, capped at this
@@ -297,38 +267,33 @@ struct TileWork
     }
 
     void
-    postBoundaryRow(int peer, int y, bool async)
+    postBoundaryRow(int peer, int y)
     {
         util::ByteWriter w;
         w.u32(static_cast<std::uint32_t>(y));
         for (int x = 0; x < problem.width(); ++x)
             w.i32(labels(x, y));
-        const auto t0 = std::chrono::steady_clock::now();
-        if (async)
-            tr.sendAsync(peer, tag::kHalo, w.bytes().data(),
-                         w.bytes().size());
-        else
-            tr.send(peer, tag::kHalo, w.bytes().data(),
-                    w.bytes().size());
-        haloSendNs += nsSince(t0);
         haloBytesSent += w.bytes().size();
+        const auto t0 = std::chrono::steady_clock::now();
+        tr.send(peer, tag::kHalo, w.take());
+        haloSendNs += nsSince(t0);
     }
 
     /**
      * Land one received ghost row: refresh the ghost labels and mark
      * the adjacent inner row — the only row of ours whose planes
      * depend on ghost labels — once per changed ghost pixel.  The
-     * change test reads the cache's SHADOW plane, not the label map:
-     * on rank 0 a GATHER may overwrite ghost rows with their
-     * post-phase values before the deferred halo is consumed, and the
-     * shadow is what the cached planes were actually computed
-     * against, so the diff (and the invalidation count) stays
-     * identical to the serial run's.
+     * change test reads the cache's SHADOW plane, which is what the
+     * cached planes were computed against, so the diff (and the
+     * invalidation count) stays identical to the serial run's.
      */
     void
-    applyGhostRow(int peer, int yg,
-                  std::span<const unsigned char> payload)
+    recvGhostRow(int peer, int yg)
     {
+        const auto t0 = std::chrono::steady_clock::now();
+        const std::vector<unsigned char> payload =
+            tr.recv(peer, tag::kHalo);
+        haloWaitNs += nsSince(t0);
         util::ByteReader rd(payload);
         const int y = static_cast<int>(rd.u32());
         RETSIM_ASSERT(y == yg, "halo: rank ", rank, " expected row ",
@@ -352,135 +317,49 @@ struct TileWork
                       "halo: malformed payload");
     }
 
-    void
-    recvGhostRow(int peer, int yg)
-    {
-        const auto t0 = std::chrono::steady_clock::now();
-        std::vector<unsigned char> payload =
-            tr.recv(peer, tag::kHalo);
-        haloWaitNs += nsSince(t0);
-        applyGhostRow(peer, yg, payload);
-    }
-
-    /** Synchronous ghost-row refresh at a color-phase boundary (the
-     *  reference schedule).  Sends complete before receives; the
-     *  frames are a single row, far below any transport buffering, so
+    /** Synchronous ghost-row refresh at a color-phase boundary.
+     *  Sends complete before receives and channels are unbounded, so
      *  the symmetric exchange cannot deadlock. */
     void
     haloExchange()
     {
         if (up >= 0)
-            postBoundaryRow(up, lo, /*async=*/false);
+            postBoundaryRow(up, lo);
         if (down >= 0)
-            postBoundaryRow(down, hi - 1, /*async=*/false);
+            postBoundaryRow(down, hi - 1);
         if (up >= 0)
             recvGhostRow(up, lo - 1);
         if (down >= 0)
             recvGhostRow(down, hi);
     }
 
-    /** Consume the ghost rows posted by the neighbors' previous
-     *  phase.  tryRecv first, so halo.wait_ns accrues only when the
-     *  transfer did NOT finish behind the interior compute. */
-    void
-    waitGhosts()
-    {
-        if (!ghostsInFlight)
-            return;
-        ghostsInFlight = false;
-        const int peers[2] = {up, down};
-        const int rows[2] = {lo - 1, hi};
-        for (int i = 0; i < 2; ++i) {
-            if (peers[i] < 0)
-                continue;
-            std::vector<unsigned char> payload;
-            if (!tr.tryRecv(peers[i], tag::kHalo, &payload)) {
-                const auto t0 = std::chrono::steady_clock::now();
-                payload = tr.recv(peers[i], tag::kHalo);
-                haloWaitNs += nsSince(t0);
-            }
-            applyGhostRow(peers[i], rows[i], payload);
-        }
-    }
-
-    /** Receive-and-drop any posted-but-unconsumed ghosts, so a rank
-     *  exiting mid-run (the crash drill) closes its links with empty
-     *  receive buffers — FIN, not RST, which could discard in-flight
-     *  frames rank 0 has not read yet. */
-    void
-    drainGhosts()
-    {
-        if (!ghostsInFlight)
-            return;
-        ghostsInFlight = false;
-        if (up >= 0)
-            tr.recv(up, tag::kHalo);
-        if (down >= 0)
-            tr.recv(down, tag::kHalo);
-    }
-
-    /** Run stripes [ka, kb) of this phase, across the pool when one
-     *  exists.  Any stripe order (and any thread interleaving) yields
-     *  byte-identical results: each stripe draws from its own (seed,
-     *  sweep, color, stripe) RNG stream and sampler clone, and every
-     *  neighbor read within a phase is a frozen other-color pixel. */
-    void
-    runStripes(int sweep, int color, int ka, int kb,
-               double temperature)
-    {
-        if (pool && kb - ka > 1)
-            pool->parallelFor(
-                static_cast<std::size_t>(kb - ka),
-                [&](std::size_t i) {
-                    runStripe(sweep, color, ka + static_cast<int>(i),
-                              temperature);
-                });
-        else
-            for (int k = ka; k < kb; ++k)
-                runStripe(sweep, color, k, temperature);
-    }
-
     /**
-     * One color phase.  Synchronous schedule (the PR 8 reference):
-     * all stripes, then a blocking halo exchange.  Boundary-first
-     * overlapped schedule (config.overlapHalo): consume the ghosts
-     * posted by the previous phase, run the stripes owning this
-     * rank's boundary rows, post their ghost rows WITHOUT blocking,
-     * and hide the transfer behind the interior stripes; the next
-     * consumption point's waitGhosts() — the following phase, or the
-     * sweep join whose row energies read ghost rows — is the only
-     * point that may block.  Every sweep join consumes the ghosts its
-     * phases posted, so no halo frame is ever left unread at
-     * teardown (an unread frame would RST the connection).
+     * One color phase: all of this rank's stripes, across the pool
+     * when one exists, then a synchronous halo exchange.  Any stripe
+     * order (and any thread interleaving) yields byte-identical
+     * results: each stripe draws from its own (seed, sweep, color,
+     * stripe) RNG stream and sampler clone, and every neighbor read
+     * within a phase is a frozen other-color pixel.
      */
     void
     runPhase(int sweep, int color, double temperature)
     {
         if (empty())
             return;
-        if (!overlap) {
-            const auto t0 = std::chrono::steady_clock::now();
-            runStripes(sweep, color, k0, k1, temperature);
-            interiorNs += nsSince(t0);
-            applyOwnDeferred();
-            haloExchange();
-            return;
-        }
-        waitGhosts();
-        runStripe(sweep, color, k0, temperature);
-        if (k1 - k0 > 1)
-            runStripe(sweep, color, k1 - 1, temperature);
-        if (up >= 0)
-            postBoundaryRow(up, lo, /*async=*/true);
-        if (down >= 0)
-            postBoundaryRow(down, hi - 1, /*async=*/true);
-        if (up >= 0 || down >= 0)
-            ghostsInFlight = true;
         const auto t0 = std::chrono::steady_clock::now();
-        runStripes(sweep, color, k0 + 1, k1 - 1, temperature);
+        if (pool && k1 - k0 > 1)
+            pool->parallelFor(
+                static_cast<std::size_t>(k1 - k0),
+                [&](std::size_t i) {
+                    runStripe(sweep, color, k0 + static_cast<int>(i),
+                              temperature);
+                });
+        else
+            for (int k = k0; k < k1; ++k)
+                runStripe(sweep, color, k, temperature);
         interiorNs += nsSince(t0);
-        tr.progress();
         applyOwnDeferred();
+        haloExchange();
     }
 
     /** Sum and reset the per-stripe trace counters (sweep join). */
@@ -593,99 +472,21 @@ buildGather(TileWork &work)
     return w.take();
 }
 
-std::vector<unsigned char>
-serializeRegistryDelta(const std::vector<obs::MetricSnapshot> &delta)
-{
-    util::ByteWriter w;
-    w.u32(static_cast<std::uint32_t>(delta.size()));
-    for (const obs::MetricSnapshot &m : delta) {
-        w.u8(static_cast<std::uint8_t>(m.kind));
-        w.str(m.name);
-        switch (m.kind) {
-        case obs::MetricKind::Counter:
-            w.u64(m.counter);
-            break;
-        case obs::MetricKind::Histogram: {
-            w.u32(static_cast<std::uint32_t>(
-                m.histogram.bounds.size()));
-            for (double b : m.histogram.bounds)
-                w.f64(b);
-            for (std::uint64_t c : m.histogram.counts)
-                w.u64(c);
-            w.f64(m.histogram.sum);
-            w.u64(m.histogram.count);
-            break;
-        }
-        case obs::MetricKind::Gauge:
-            w.f64(m.gauge);
-            break;
-        }
-    }
-    return w.take();
-}
-
-std::vector<obs::MetricSnapshot>
-deserializeRegistryDelta(std::span<const unsigned char> payload)
-{
-    util::ByteReader rd(payload);
-    const std::uint32_t n = rd.u32();
-    std::vector<obs::MetricSnapshot> out;
-    out.reserve(n);
-    for (std::uint32_t i = 0; i < n && rd.ok(); ++i) {
-        obs::MetricSnapshot m;
-        m.kind = static_cast<obs::MetricKind>(rd.u8());
-        m.name = rd.str();
-        switch (m.kind) {
-        case obs::MetricKind::Counter:
-            m.counter = rd.u64();
-            break;
-        case obs::MetricKind::Histogram: {
-            const std::uint32_t nb = rd.u32();
-            m.histogram = obs::HistogramData{};
-            m.histogram.bounds.resize(nb);
-            for (std::uint32_t j = 0; j < nb; ++j)
-                m.histogram.bounds[j] = rd.f64();
-            m.histogram.counts.resize(nb + 1);
-            for (std::uint32_t j = 0; j <= nb; ++j)
-                m.histogram.counts[j] = rd.u64();
-            m.histogram.sum = rd.f64();
-            m.histogram.count = rd.u64();
-            break;
-        }
-        case obs::MetricKind::Gauge:
-            m.gauge = rd.f64();
-            break;
-        }
-        out.push_back(std::move(m));
-    }
-    RETSIM_ASSERT(rd.ok() && rd.atEnd(),
-                  "shard: malformed registry delta");
-    return out;
-}
-
 // ------------------------------------------------------------------
 // Worker rank
 
 /**
- * The full life of a worker rank (loopback thread or forked socket
- * process): run the sweep loop over its tile, JOIN every sweep,
- * GATHER when rank 0 needs the labels, fold metrics, and — on the
- * crash drill — _Exit(17) right after the die-sweep state reached
- * rank 0.  Returns normally otherwise (the socket caller _Exit(0)s).
+ * The full life of a worker rank thread: run the sweep loop over its
+ * tile, JOIN every sweep, GATHER when rank 0 needs the labels, and
+ * fold its metrics into the process registry.
  */
 void
-runWorkerRank(const mrf::SolverConfig &config,
-              const ShardOptions &options, const ShardSpec &spec,
+runWorkerRank(const mrf::SolverConfig &config, const ShardSpec &spec,
               const TilePartition &part,
-              const mrf::MrfProblem &problem, ShardTransport &tr,
+              const mrf::MrfProblem &problem, LoopbackMesh::Endpoint tr,
               img::LabelMap &labels,
               std::vector<std::unique_ptr<mrf::LabelSampler>> &clones)
 {
-    obs::Registry &reg = obs::Registry::global();
-    std::vector<obs::MetricSnapshot> baseline;
-    if (!tr.sharedRegistry())
-        baseline = reg.snapshot();
-
     TileWork work(config, problem, part, tr, labels, clones,
                   tr.rank());
     if (!work.empty()) {
@@ -695,42 +496,14 @@ runWorkerRank(const mrf::SolverConfig &config,
                 config.annealing.temperature(s);
             for (int color = 0; color < 2; ++color)
                 work.runPhase(s, color, temperature);
-            // The JOIN's per-row energies read the ghost rows, so the
-            // overlapped halos must land before they are computed.
-            work.waitGhosts();
             work.foldShards();
             StripeCounters tot = work.takeSweepCounters();
-            std::vector<unsigned char> join =
-                buildJoin(work, spec, tot);
-            tr.send(0, tag::kJoin, join.data(), join.size());
-            if (gatherNeeded(spec, config, s)) {
-                std::vector<unsigned char> gather =
-                    buildGather(work);
-                tr.send(0, tag::kGather, gather.data(),
-                        gather.size());
-            }
-            if (tr.rank() == options.dieRank &&
-                dieSweep(options, spec, config, s)) {
-                // Crash drill: this rank's sweep state is fully in
-                // flight to rank 0; vanish like a lost machine whose
-                // last checkpoint survived.  Drain any ghosts still
-                // unconsumed first (none on the normal schedule — the
-                // join above waited — but cheap insurance), so the
-                // links close clean: FIN, not an RST that could
-                // discard the JOIN/GATHER/DIE frames rank 0 has not
-                // read yet.
-                work.drainGhosts();
-                tr.send(0, tag::kDie, nullptr, 0);
-                std::_Exit(17);
-            }
+            tr.send(0, tag::kJoin, buildJoin(work, spec, tot));
+            if (gatherNeeded(spec, config, s))
+                tr.send(0, tag::kGather, buildGather(work));
         }
     }
     work.foldCacheCounters(tr.rank() == firstNonEmptyRank(part));
-    if (!tr.sharedRegistry()) {
-        std::vector<unsigned char> delta = serializeRegistryDelta(
-            obs::diffSnapshots(baseline, reg.snapshot()));
-        tr.send(0, tag::kRegistry, delta.data(), delta.size());
-    }
 }
 
 } // namespace
@@ -744,7 +517,7 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
                                img::LabelMap &labels,
                                mrf::SolverTrace *caller_trace) const
 {
-    if (options_.shards <= 1 && options_.dieRank < 0) {
+    if (options_.shards <= 1) {
         // Single shard: the striped single-process solver IS the
         // reference semantics; no transport needed.
         return mrf::CheckerboardGibbsSolver(config_).run(
@@ -758,7 +531,6 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
                       mrf::Neighborhood::Four,
                   "sharding uses the two-color chromatic schedule, "
                   "which is only valid on the 4-neighborhood");
-    RETSIM_ASSERT(options_.shards >= 1, "bad shard count");
     const int m = problem.numLabels();
     const int height = problem.height();
     const int width = problem.width();
@@ -769,19 +541,6 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
         RETSIM_FATAL("checkpointEvery is set but neither "
                      "checkpointPath nor checkpointSink is "
                      "configured");
-    if (options_.dieRank >= 0) {
-        RETSIM_ASSERT(options_.transport ==
-                          ShardOptions::Transport::Socket,
-                      "the crash drill kills a worker PROCESS; use "
-                      "the socket transport");
-        RETSIM_ASSERT(options_.dieRank >= 1 &&
-                          options_.dieRank < options_.shards,
-                      "dieRank must name a worker rank");
-        RETSIM_ASSERT(checkpointing && options_.dieAtSweep > 0,
-                      "the crash drill needs checkpointing and a "
-                      "positive dieAtSweep");
-    }
-
     // Sharded runs ALWAYS use the striped decomposition (the legacy
     // single-stream serial path has no partition identity), with the
     // same effective stripe count rule as the single-process solver —
@@ -830,10 +589,10 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
         telemetry.setTraceBaseline(trace->pixelUpdates,
                                    trace->labelChanges);
 
-    // All S sampler clones are created on rank 0 BEFORE spawn, in
-    // ascending stripe order — the exact clone sequence of the serial
-    // striped run — and every rank inherits them (fork / shared
-    // address space), each using only its own stripes' clones.
+    // All S sampler clones are created on rank 0 BEFORE the worker
+    // threads start, in ascending stripe order — the exact clone
+    // sequence of the serial striped run — and every rank uses only
+    // its own stripes' clones.
     std::vector<std::unique_ptr<mrf::LabelSampler>> clones(
         static_cast<std::size_t>(stripes));
     for (int k = 0; k < stripes; ++k)
@@ -864,37 +623,22 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
 
     const int N = options_.shards;
 
-    // ---- spawn the mesh ------------------------------------------
-    std::unique_ptr<LoopbackMesh> mesh;
-    std::vector<img::LabelMap> workerLabels;
+    // ---- start the worker ranks -----------------------------------
+    LoopbackMesh mesh(N);
+    std::vector<img::LabelMap> workerLabels(
+        static_cast<std::size_t>(N - 1), labels);
     std::vector<std::thread> workerThreads;
-    SocketBoot boot;
-    ShardTransport *tr = nullptr;
-    if (options_.transport == ShardOptions::Transport::Loopback) {
-        mesh = std::make_unique<LoopbackMesh>(N);
-        workerLabels.assign(static_cast<std::size_t>(N - 1), labels);
-        for (int r = 1; r < N; ++r)
-            workerThreads.emplace_back([&, r] {
-                runWorkerRank(config_, options_, spec, part, problem,
-                              mesh->transport(r),
-                              workerLabels[static_cast<std::size_t>(
-                                  r - 1)],
-                              clones);
-            });
-        tr = &mesh->transport(0);
-    } else {
-        boot = spawnSocketMesh(N, part);
-        if (boot.rank != 0) {
-            runWorkerRank(config_, options_, spec, part, problem,
-                          *boot.transport, labels, clones);
-            // Worker processes never return into the caller.
-            std::_Exit(0);
-        }
-        tr = boot.transport.get();
-    }
+    for (int r = 1; r < N; ++r)
+        workerThreads.emplace_back([&, r] {
+            runWorkerRank(config_, spec, part, problem,
+                          mesh.endpoint(r),
+                          workerLabels[static_cast<std::size_t>(r - 1)],
+                          clones);
+        });
+    LoopbackMesh::Endpoint tr = mesh.endpoint(0);
 
     // ---- rank 0 ---------------------------------------------------
-    TileWork work(config_, problem, part, *tr, labels, clones, 0);
+    TileWork work(config_, problem, part, tr, labels, clones, 0);
 
     auto capture = [&](int done) {
         mrf::SolverCheckpoint cp;
@@ -930,36 +674,10 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
     // cache/sampler totals.
     mrf::EnergyCacheStats aggCache;
 
-    // expectRank >= 0: only that rank's status is asserted (the
-    // others were torn down by fd closure and exit nonzero).
-    // expectRank == -1: every worker must exit expectStatus.
-    auto waitChildren = [&](int expectRank, int expectStatus) {
-        for (std::size_t i = 0; i < boot.children.size(); ++i) {
-            int status = 0;
-            pid_t pid = boot.children[i];
-            if (::waitpid(pid, &status, 0) != pid)
-                RETSIM_FATAL("shard: waitpid failed for rank ",
-                             i + 1);
-            const int r = static_cast<int>(i) + 1;
-            if (expectRank == -1 || r == expectRank) {
-                RETSIM_ASSERT(WIFEXITED(status) &&
-                                  WEXITSTATUS(status) ==
-                                      expectStatus,
-                              "shard: rank ", r,
-                              " did not exit with the expected "
-                              "status ",
-                              expectStatus);
-            }
-        }
-    };
-
     for (int s = start_sweep; s < config_.annealing.sweeps; ++s) {
         const double temperature = config_.annealing.temperature(s);
         for (int color = 0; color < 2; ++color)
             work.runPhase(s, color, temperature);
-        // The join's per-row energies read the ghost rows, so the
-        // overlapped halos must land before they are computed.
-        work.waitGhosts();
 
         // ---- sweep join ------------------------------------------
         StripeCounters tot = work.takeSweepCounters();
@@ -974,7 +692,7 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
             if (part.empty(r))
                 continue;
             std::vector<unsigned char> payload =
-                tr->recv(r, tag::kJoin);
+                tr.recv(r, tag::kJoin);
             util::ByteReader rd(payload);
             tot.pixelUpdates += rd.u64();
             tot.labelChanges += rd.u64();
@@ -1014,7 +732,7 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
                 if (part.empty(r))
                     continue;
                 std::vector<unsigned char> payload =
-                    tr->recv(r, tag::kGather);
+                    tr.recv(r, tag::kGather);
                 util::ByteReader rd(payload);
                 const int glo = static_cast<int>(rd.u32());
                 const int rows = static_cast<int>(rd.u32());
@@ -1081,16 +799,6 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
             }
             mrf::detail::emitCheckpoint(config_, cp);
         }
-        if (dieSweep(options_, spec, config_, s)) {
-            // The drill checkpoint is on disk; acknowledge the dying
-            // worker, tear down the mesh (surviving workers exit on
-            // EOF), and propagate its exit code like a job scheduler
-            // would.
-            tr->recv(options_.dieRank, tag::kDie);
-            boot.transport.reset();
-            waitChildren(options_.dieRank, 17);
-            std::exit(17);
-        }
     }
 
     reg.add(ids.runs, 1);
@@ -1099,14 +807,8 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
                                        start_sweep));
     work.foldCacheCounters(firstNonEmptyRank(part) == 0);
 
-    if (tr->sharedRegistry()) {
-        for (std::thread &t : workerThreads)
-            t.join();
-    } else {
-        for (int r = 1; r < N; ++r)
-            reg.applyDelta(deserializeRegistryDelta(
-                tr->recv(r, tag::kRegistry)));
-    }
+    for (std::thread &t : workerThreads)
+        t.join();
 
     // Restore every remote stripe clone to its final worker-side
     // state (the final sweep always GATHERs), then fold all S clones
@@ -1126,10 +828,6 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
         sampler.mergeStats(*clones[static_cast<std::size_t>(k)]);
     }
 
-    if (options_.transport == ShardOptions::Transport::Socket) {
-        boot.transport.reset();
-        waitChildren(-1, 0);
-    }
     return labels;
 }
 

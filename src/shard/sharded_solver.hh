@@ -1,40 +1,37 @@
 /**
  * @file
- * Multi-process (or multi-thread) sharded checkerboard Gibbs solver.
+ * Sharded checkerboard Gibbs solver: rank threads exchanging messages.
  *
  * Runs the EXACT stripe schedule of the striped
  * CheckerboardGibbsSolver — same per-(seed, sweep, color, stripe)
  * RNG streams, same per-stripe sampler clones indexed by GLOBAL
  * stripe id, same batched row kernel (mrf/checkerboard_detail.hh) —
- * but splits the stripes across N shard ranks by a TilePartition and
- * replaces shared memory with explicit messages: one-row ghost zones
- * refreshed at every color-phase boundary, and per-shard counter /
- * SamplerStats / obs-metric folds at the sweep join (plain sums, so
+ * but splits the stripes across N shard ranks by a TilePartition.
+ * Each rank is a thread with a private label map; shared memory is
+ * replaced by explicit messages over an in-process LoopbackMesh
+ * (shard/transport.hh): one-row ghost zones refreshed by a
+ * synchronous exchange at every color-phase boundary, and per-shard
+ * counter / SamplerStats folds at the sweep join (plain sums, so
  * every total equals the serial run's).
  *
  * Determinism contract (enforced by tools/shard_check + the CI
- * shard-equivalence leg): for ANY shard count N and either transport,
- * the labels, the SolverTrace (including the FP energy series, which
- * is reduced from per-row partials in row order exactly like
+ * shard-equivalence leg): for ANY shard count N and intra-rank thread
+ * count, the labels, the SolverTrace (including the FP energy series,
+ * which is reduced from per-row partials in row order exactly like
  * MrfProblem::totalEnergy), and the final SOLVERCP snapshot are
  * byte-identical to a serial striped run with the same (seed,
- * stripes).  PR 5 checkpointing composes: snapshots are written by
- * rank 0 with solverKind "checkerboard", so a sharded run can resume
- * a serial snapshot and vice versa, and killing one shard process
- * mid-anneal (the crash drill) then resuming yields a byte-identical
- * final snapshot.
+ * stripes).  Checkpointing composes: snapshots are written by rank 0
+ * with solverKind "checkerboard", so a sharded run can resume a
+ * serial or sharded snapshot and vice versa, byte-identically.
  *
- * Division of labor: rank 0 owns everything stateful a caller can
- * observe — init/resume, the caller's sampler and label map, trace,
- * telemetry, sweep observers, checkpoint emission, the obs registry
- * of record — while workers own only their tile's row range.  Within
- * a rank, stripes dispatch across SolverConfig::threads (the
- * single-process solver's sizing rule, capped at the rank's stripe
- * count), and SolverConfig::overlapHalo switches each color phase to
- * a boundary-first schedule that posts ghost rows asynchronously and
- * hides the transfer behind the interior stripes.  Both knobs are
- * schedule-only: any {threads} x {overlap on,off} combination
- * produces the byte-identical result.
+ * Division of labor: rank 0 is the caller's thread and owns
+ * everything stateful a caller can observe — init/resume, the
+ * caller's sampler and label map, trace, telemetry, sweep observers,
+ * checkpoint emission — while workers own only their tile's row
+ * range.  Within a rank, stripes dispatch across
+ * SolverConfig::threads (the single-process solver's sizing rule,
+ * capped at the rank's stripe count); the thread count is
+ * schedule-only and never changes the result.
  */
 
 #ifndef RETSIM_SHARD_SHARDED_SOLVER_HH
@@ -50,22 +47,9 @@ namespace shard {
 
 struct ShardOptions
 {
-    enum class Transport { Loopback, Socket };
-
     /** Shard (rank) count; <= 1 delegates to the striped
      *  single-process CheckerboardGibbsSolver. */
     int shards = 1;
-    Transport transport = Transport::Loopback;
-    /**
-     * Crash drill (socket transport only): worker rank dieRank calls
-     * _Exit(17) right after the first checkpointed sweep >= dieAtSweep
-     * — after its state reached rank 0, mimicking a machine loss whose
-     * last checkpoint survived.  Rank 0 finishes emitting that
-     * checkpoint and exits 17 too, so the caller can resume the job
-     * from the snapshot.  Requires checkpointing.  -1 disables.
-     */
-    int dieRank = -1;
-    int dieAtSweep = -1;
 };
 
 class ShardedCheckerboardSolver

@@ -1,133 +1,9 @@
 #include "shard/transport.hh"
 
-#include <cerrno>
-#include <csignal>
-#include <cstdio>
-#include <cstring>
-
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include "util/framing.hh"
 #include "util/logging.hh"
 
 namespace retsim {
 namespace shard {
-
-// ------------------------------------------------------------------
-// Matched receive with the kHalo stash (shared by both backends)
-
-std::deque<util::Frame> &
-ShardTransport::stash(int peer)
-{
-    if (stash_.empty())
-        stash_.resize(static_cast<std::size_t>(worldSize()));
-    return stash_[static_cast<std::size_t>(peer)];
-}
-
-std::vector<unsigned char>
-ShardTransport::recv(int peer, std::uint32_t tag)
-{
-    std::deque<util::Frame> &st = stash(peer);
-    if (tag == tag::kHalo && !st.empty()) {
-        std::vector<unsigned char> payload =
-            std::move(st.front().payload);
-        st.pop_front();
-        return payload;
-    }
-    for (;;) {
-        util::Frame f;
-        pullFrame(peer, /*blocking=*/true, &f);
-        if (f.tag == tag)
-            return std::move(f.payload);
-        // Only an in-flight ghost row may overtake a matched recv;
-        // anything else is a desynchronized protocol.
-        RETSIM_ASSERT(f.tag == tag::kHalo, name(), ": rank ", rank(),
-                      " expected tag ", tag, " from rank ", peer,
-                      ", got ", f.tag);
-        st.push_back(std::move(f));
-    }
-}
-
-bool
-ShardTransport::tryRecv(int peer, std::uint32_t tag,
-                        std::vector<unsigned char> *payload)
-{
-    std::deque<util::Frame> &st = stash(peer);
-    if (tag == tag::kHalo && !st.empty()) {
-        *payload = std::move(st.front().payload);
-        st.pop_front();
-        return true;
-    }
-    for (;;) {
-        util::Frame f;
-        if (!pullFrame(peer, /*blocking=*/false, &f))
-            return false;
-        if (f.tag == tag) {
-            *payload = std::move(f.payload);
-            return true;
-        }
-        RETSIM_ASSERT(f.tag == tag::kHalo, name(), ": rank ", rank(),
-                      " expected tag ", tag, " from rank ", peer,
-                      ", got ", f.tag);
-        st.push_back(std::move(f));
-    }
-}
-
-// ------------------------------------------------------------------
-// Loopback
-
-class LoopbackMesh::Endpoint final : public ShardTransport
-{
-  public:
-    Endpoint(LoopbackMesh *mesh, int rank) : mesh_(mesh), rank_(rank)
-    {
-    }
-
-    int rank() const override { return rank_; }
-    int worldSize() const override { return mesh_->worldSize_; }
-    bool sharedRegistry() const override { return true; }
-    const char *name() const override { return "loopback"; }
-
-    // Queues are unbounded, so the async send IS the blocking send:
-    // it can never wait on the receiver.
-    void
-    sendAsync(int peer, std::uint32_t tag, const unsigned char *data,
-              std::size_t len) override
-    {
-        Channel &ch = mesh_->channel(rank_, peer);
-        {
-            std::lock_guard<std::mutex> lock(ch.mutex);
-            ch.queue.emplace_back(
-                tag, std::vector<unsigned char>(data, data + len));
-        }
-        ch.cv.notify_one();
-    }
-
-  protected:
-    bool
-    pullFrame(int peer, bool blocking, util::Frame *frame) override
-    {
-        Channel &ch = mesh_->channel(peer, rank_);
-        std::unique_lock<std::mutex> lock(ch.mutex);
-        if (blocking)
-            ch.cv.wait(lock, [&ch] { return !ch.queue.empty(); });
-        else if (ch.queue.empty())
-            return false;
-        auto front = std::move(ch.queue.front());
-        ch.queue.pop_front();
-        frame->tag = front.first;
-        frame->payload = std::move(front.second);
-        return true;
-    }
-
-  private:
-    LoopbackMesh *mesh_;
-    int rank_;
-
-    friend class LoopbackMesh;
-};
 
 LoopbackMesh::LoopbackMesh(int worldSize) : worldSize_(worldSize)
 {
@@ -135,306 +11,40 @@ LoopbackMesh::LoopbackMesh(int worldSize) : worldSize_(worldSize)
     channels_.resize(static_cast<std::size_t>(worldSize) * worldSize);
     for (auto &c : channels_)
         c = std::make_unique<Channel>();
-    for (int r = 0; r < worldSize; ++r)
-        endpoints_.push_back(std::make_unique<Endpoint>(this, r));
 }
 
-LoopbackMesh::~LoopbackMesh() = default;
-
-ShardTransport &
-LoopbackMesh::transport(int rank)
+LoopbackMesh::Endpoint
+LoopbackMesh::endpoint(int rank)
 {
     RETSIM_ASSERT(rank >= 0 && rank < worldSize_,
                   "loopback: bad rank");
-    return *endpoints_[static_cast<std::size_t>(rank)];
+    return Endpoint(this, rank);
 }
 
-// ------------------------------------------------------------------
-// Sockets
-
-namespace {
-
-/** Adjacent non-empty tile pairs (a < b) needing a halo link. */
-std::vector<std::pair<int, int>>
-linkPairs(const TilePartition &part)
-{
-    std::vector<std::pair<int, int>> pairs;
-    for (int j = 0; j < part.shards(); ++j) {
-        if (part.empty(j))
-            continue;
-        int up = part.neighborAbove(j);
-        if (up >= 0)
-            pairs.emplace_back(up, j);
-    }
-    return pairs;
-}
-
-class SocketTransport final : public ShardTransport
-{
-  public:
-    SocketTransport(int rank, int worldSize)
-        : rank_(rank), worldSize_(worldSize),
-          fds_(static_cast<std::size_t>(worldSize), -1),
-          outbox_(static_cast<std::size_t>(worldSize))
-    {
-    }
-
-    ~SocketTransport() override
-    {
-        for (int fd : fds_)
-            if (fd >= 0)
-                ::close(fd);
-    }
-
-    int rank() const override { return rank_; }
-    int worldSize() const override { return worldSize_; }
-    bool sharedRegistry() const override { return false; }
-    const char *name() const override { return "socket"; }
-
-    void
-    setPeerFd(int peer, int fd)
-    {
-        fds_[static_cast<std::size_t>(peer)] = fd;
-    }
-
-    int
-    peerFd(int peer) const
-    {
-        int fd = fds_[static_cast<std::size_t>(peer)];
-        RETSIM_ASSERT(fd >= 0, "socket: rank ", rank_,
-                      " has no link to rank ", peer);
-        return fd;
-    }
-
-    void
-    sendAsync(int peer, std::uint32_t tag, const unsigned char *data,
-              std::size_t len) override
-    {
-        Outbox &ob = outbox_[static_cast<std::size_t>(peer)];
-        util::appendFrame(ob.buf, tag, data, len);
-        drain(peer, /*blocking=*/false);
-    }
-
-    void
-    progress() override
-    {
-        for (int p = 0; p < worldSize_; ++p)
-            if (pending(p))
-                drain(p, /*blocking=*/false);
-    }
-
-    void
-    flushSends() override
-    {
-        for (int p = 0; p < worldSize_; ++p)
-            if (pending(p))
-                drain(p, /*blocking=*/true);
-    }
-
-  protected:
-    bool
-    pullFrame(int peer, bool blocking, util::Frame *frame) override
-    {
-        if (blocking) {
-            // Hand queued sends to the OS before parking in a read:
-            // a peer symmetrically blocked on OUR frame must be able
-            // to make progress.
-            flushSends();
-            *frame = util::readFrame(peerFd(peer));
-            return true;
-        }
-        progress();
-        struct pollfd pfd;
-        pfd.fd = peerFd(peer);
-        pfd.events = POLLIN;
-        pfd.revents = 0;
-        int pr = ::poll(&pfd, 1, 0);
-        if (pr < 0 && errno != EINTR)
-            RETSIM_FATAL("socket: poll failed: ",
-                         std::strerror(errno));
-        if (pr <= 0)
-            return false;
-        // At least the frame's first bytes arrived; the remainder of
-        // one small frame is already in flight, so the bounded
-        // readFrame completes promptly.
-        *frame = util::readFrame(pfd.fd);
-        return true;
-    }
-
-  private:
-    /** Queued outbound bytes for one peer; off marks how much of the
-     *  front has already been written. */
-    struct Outbox
-    {
-        std::vector<unsigned char> buf;
-        std::size_t off = 0;
-    };
-
-    bool
-    pending(int peer) const
-    {
-        const Outbox &ob = outbox_[static_cast<std::size_t>(peer)];
-        return ob.off < ob.buf.size();
-    }
-
-    /** Write queued bytes for @p peer; non-blocking mode stops at
-     *  EAGAIN, blocking mode polls for writability until drained. */
-    void
-    drain(int peer, bool blocking)
-    {
-        Outbox &ob = outbox_[static_cast<std::size_t>(peer)];
-        const int fd = peerFd(peer);
-        while (ob.off < ob.buf.size()) {
-            ssize_t n =
-                ::send(fd, ob.buf.data() + ob.off,
-                       ob.buf.size() - ob.off, MSG_DONTWAIT);
-            if (n < 0) {
-                if (errno == EINTR)
-                    continue;
-                if (errno == EAGAIN || errno == EWOULDBLOCK) {
-                    if (!blocking)
-                        return;
-                    struct pollfd pfd;
-                    pfd.fd = fd;
-                    pfd.events = POLLOUT;
-                    pfd.revents = 0;
-                    int pr =
-                        ::poll(&pfd, 1, util::kFrameTimeoutMs);
-                    if (pr < 0 && errno != EINTR)
-                        RETSIM_FATAL("socket: flush poll failed: ",
-                                     std::strerror(errno));
-                    if (pr == 0)
-                        RETSIM_FATAL("socket: rank ", rank_,
-                                     " could not flush to rank ",
-                                     peer, " within ",
-                                     util::kFrameTimeoutMs,
-                                     " ms (shard process lost?)");
-                    continue;
-                }
-                RETSIM_FATAL("socket: send to rank ", peer,
-                             " failed: ", std::strerror(errno));
-            }
-            ob.off += static_cast<std::size_t>(n);
-        }
-        ob.buf.clear();
-        ob.off = 0;
-    }
-
-    int rank_;
-    int worldSize_;
-    std::vector<int> fds_;
-    std::vector<Outbox> outbox_;
-};
-
-/** Wire up worker-worker halo links by relaying an ephemeral port
- *  through rank 0.  Every rank walks the same pair list in the same
- *  order, acting only in the steps that involve it, so the relayed
- *  messages line up without any further synchronization. */
 void
-establishWorkerLinks(SocketTransport &t, const TilePartition &part)
+LoopbackMesh::Endpoint::send(int peer, std::uint32_t tag,
+                             std::vector<unsigned char> payload)
 {
-    for (auto [a, b] : linkPairs(part)) {
-        if (a == 0 || b == 0)
-            continue; // the star link doubles as the halo link
-        if (t.rank() == a) {
-            std::uint16_t port = 0;
-            int lfd = util::listenLocal(&port);
-            unsigned char buf[4];
-            std::uint32_t peerAndPort =
-                (static_cast<std::uint32_t>(b) << 16) | port;
-            std::memcpy(buf, &peerAndPort, 4);
-            t.send(0, tag::kPort, buf, 4);
-            int fd = util::acceptLocal(lfd);
-            ::close(lfd);
-            util::Frame hello = util::readFrame(fd);
-            RETSIM_ASSERT(hello.tag == tag::kHello &&
-                              hello.payload.size() == 4,
-                          "socket: bad link HELLO");
-            std::uint32_t from = 0;
-            std::memcpy(&from, hello.payload.data(), 4);
-            RETSIM_ASSERT(static_cast<int>(from) == b,
-                          "socket: link HELLO from wrong rank");
-            t.setPeerFd(b, fd);
-        } else if (t.rank() == 0) {
-            auto msg = t.recv(a, tag::kPort);
-            RETSIM_ASSERT(msg.size() == 4, "socket: bad PORT relay");
-            t.send(b, tag::kPort, msg.data(), msg.size());
-        } else if (t.rank() == b) {
-            auto msg = t.recv(0, tag::kPort);
-            RETSIM_ASSERT(msg.size() == 4, "socket: bad PORT relay");
-            std::uint32_t peerAndPort = 0;
-            std::memcpy(&peerAndPort, msg.data(), 4);
-            RETSIM_ASSERT(static_cast<int>(peerAndPort >> 16) == b,
-                          "socket: PORT relay misrouted");
-            int fd = util::connectLocal(
-                static_cast<std::uint16_t>(peerAndPort & 0xffff));
-            std::uint32_t me = static_cast<std::uint32_t>(t.rank());
-            unsigned char buf[4];
-            std::memcpy(buf, &me, 4);
-            util::writeFrame(fd, tag::kHello, buf, 4);
-            t.setPeerFd(a, fd);
-        }
+    Channel &ch = mesh_->channel(rank_, peer);
+    {
+        std::lock_guard<std::mutex> lock(ch.mutex);
+        ch.queue.emplace_back(tag, std::move(payload));
     }
+    ch.cv.notify_one();
 }
 
-} // namespace
-
-SocketBoot
-spawnSocketMesh(int worldSize, const TilePartition &part)
+std::vector<unsigned char>
+LoopbackMesh::Endpoint::recv(int peer, std::uint32_t tag)
 {
-    RETSIM_ASSERT(worldSize >= 2, "socket mesh needs >= 2 ranks");
-    // A peer lost mid-run (the crash drill, or any worker death) must
-    // surface as an EPIPE write error -> RETSIM_FATAL diagnostic, not
-    // a silent SIGPIPE kill.
-    ::signal(SIGPIPE, SIG_IGN);
-    std::uint16_t port = 0;
-    int listenFd = util::listenLocal(&port);
-
-    // Flush stdio so forked children don't replay buffered output.
-    std::fflush(nullptr);
-
-    SocketBoot boot;
-    for (int r = 1; r < worldSize; ++r) {
-        pid_t pid = ::fork();
-        RETSIM_ASSERT(pid >= 0, "socket: fork failed");
-        if (pid == 0) {
-            // Worker process: connect the star link and say hello.
-            ::close(listenFd);
-            auto t =
-                std::make_unique<SocketTransport>(r, worldSize);
-            int fd = util::connectLocal(port);
-            std::uint32_t me = static_cast<std::uint32_t>(r);
-            unsigned char buf[4];
-            std::memcpy(buf, &me, 4);
-            util::writeFrame(fd, tag::kHello, buf, 4);
-            t->setPeerFd(0, fd);
-            establishWorkerLinks(*t, part);
-            boot.rank = r;
-            boot.transport = std::move(t);
-            return boot;
-        }
-        boot.children.push_back(pid);
-    }
-
-    auto t = std::make_unique<SocketTransport>(0, worldSize);
-    for (int i = 1; i < worldSize; ++i) {
-        int fd = util::acceptLocal(listenFd);
-        util::Frame hello = util::readFrame(fd);
-        RETSIM_ASSERT(hello.tag == tag::kHello &&
-                          hello.payload.size() == 4,
-                      "socket: bad bootstrap HELLO");
-        std::uint32_t from = 0;
-        std::memcpy(&from, hello.payload.data(), 4);
-        RETSIM_ASSERT(from >= 1 &&
-                          from < static_cast<std::uint32_t>(worldSize),
-                      "socket: HELLO from unknown rank");
-        t->setPeerFd(static_cast<int>(from), fd);
-    }
-    ::close(listenFd);
-    establishWorkerLinks(*t, part);
-    boot.rank = 0;
-    boot.transport = std::move(t);
-    return boot;
+    Channel &ch = mesh_->channel(peer, rank_);
+    std::unique_lock<std::mutex> lock(ch.mutex);
+    ch.cv.wait(lock, [&ch] { return !ch.queue.empty(); });
+    auto front = std::move(ch.queue.front());
+    ch.queue.pop_front();
+    RETSIM_ASSERT(front.first == tag, "loopback: rank ", rank_,
+                  " expected tag ", tag, " from rank ", peer, ", got ",
+                  front.first);
+    return std::move(front.second);
 }
 
 } // namespace shard

@@ -30,6 +30,7 @@
 #include "rng/rng.hh"
 #include "simd/kernels.hh"
 #include "util/checkpoint.hh"
+#include "temp_path.hh"
 
 namespace {
 
@@ -101,8 +102,7 @@ class SnapshotContainerTest : public ::testing::Test
     void
     SetUp() override
     {
-        dir_ = std::filesystem::temp_directory_path() /
-               "retsim_checkpoint_test";
+        dir_ = testing_util::uniqueTempPath("retsim_checkpoint_test");
         std::filesystem::create_directories(dir_);
         path_ = (dir_ / "snap.bin").string();
     }
@@ -745,8 +745,8 @@ TEST(ResumeValidationDeathTest, CheckpointingWithoutDestinationIsFatal)
 
 TEST(KillAndResume, SurvivesTheOnDiskContainer)
 {
-    const auto dir = std::filesystem::temp_directory_path() /
-                     "retsim_checkpoint_file_test";
+    const auto dir =
+        testing_util::uniqueTempPath("retsim_checkpoint_file_test");
     std::filesystem::create_directories(dir);
     const std::string path = (dir / "run.ckpt").string();
 

@@ -15,6 +15,7 @@
 #include "img/dataset_io.hh"
 #include "img/pgm_io.hh"
 #include "img/synthetic.hh"
+#include "temp_path.hh"
 
 namespace {
 
@@ -27,9 +28,7 @@ class DatasetIoTest : public ::testing::Test
     void
     SetUp() override
     {
-        dir_ = (std::filesystem::temp_directory_path() /
-                "retsim_dataset_io")
-                   .string();
+        dir_ = testing_util::uniqueTempPath("retsim_dataset_io").string();
         std::filesystem::create_directories(dir_);
     }
 

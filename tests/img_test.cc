@@ -15,6 +15,7 @@
 #include "img/image.hh"
 #include "img/pgm_io.hh"
 #include "img/synthetic.hh"
+#include "temp_path.hh"
 
 namespace {
 
@@ -75,8 +76,7 @@ TEST(PgmIo, RoundTrip)
             im(x, y) = static_cast<std::uint8_t>((x * 13 + y * 7) % 256);
 
     std::string path =
-        (std::filesystem::temp_directory_path() / "retsim_t.pgm")
-            .string();
+        testing_util::uniqueTempPath("retsim_t").string() + ".pgm";
     writePgm(im, path);
     ImageU8 back = readPgm(path);
     ASSERT_EQ(back.width(), im.width());

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <limits>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -89,6 +90,16 @@ struct BadPgm
     const char *file;
     const char *expect; ///< required substring of the diagnostic
 };
+
+// Without this, gtest prints a BadPgm as the raw bytes of its two
+// pointers, and that dump lands in every test's listed name.  Those
+// addresses move with the binary's layout and with ASLR, so the test
+// names would change from build to build.
+void
+PrintTo(const BadPgm &c, std::ostream *os)
+{
+    *os << c.file << ": " << c.expect;
+}
 
 class PgmCorpusTest : public ::testing::TestWithParam<BadPgm>
 {

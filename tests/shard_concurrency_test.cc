@@ -1,15 +1,12 @@
 /**
  * @file
- * ThreadSanitizer coverage for the loopback-transport sharded solver:
- * the rank threads exchange ghost rows and sweep results through the
- * in-memory mesh while rank 0 folds traces, telemetry and sampler
- * stats, so a full sharded anneal under TSan exercises every
- * cross-rank synchronization point the transport has.  The overlapped
- * case additionally runs the boundary-first schedule with an
- * intra-rank thread pool, putting the async halo posts, the deferred
- * ghost waits and the pool's stripe dispatch under TSan at once.
- * Runs in the "concurrency" ctest label alongside the striped-solver
- * suite.
+ * ThreadSanitizer coverage for the sharded solver: the rank threads
+ * exchange ghost rows and sweep results through the in-memory mesh
+ * while rank 0 folds traces, telemetry and sampler stats, and each
+ * rank may dispatch its stripes across its own thread pool, so a full
+ * sharded anneal under TSan exercises every cross-rank and intra-rank
+ * synchronization point.  Runs in the "concurrency" ctest label
+ * alongside the striped-solver suite.
  */
 
 #include <string>
@@ -58,54 +55,22 @@ TEST(ShardedSolverConcurrency, LoopbackRanksRaceFreeAndDeterministic)
         problem, refSampler, &refTrace);
 
     for (int shards : {2, 4}) {
-        SCOPED_TRACE("shards=" + std::to_string(shards));
-        shard::ShardOptions options;
-        options.shards = shards;
-        options.transport = shard::ShardOptions::Transport::Loopback;
-        mrf::SolverTrace trace;
-        core::SoftwareSampler sampler;
-        img::LabelMap got =
-            shard::ShardedCheckerboardSolver(cfg, options)
-                .run(problem, sampler, &trace);
-        EXPECT_EQ(got.data(), ref.data());
-        EXPECT_EQ(trace.energyPerSweep, refTrace.energyPerSweep);
-        EXPECT_EQ(trace.labelChanges, refTrace.labelChanges);
-        EXPECT_EQ(trace.pixelUpdates, refTrace.pixelUpdates);
-    }
-}
-
-TEST(ShardedSolverConcurrency,
-     OverlappedThreadedLoopbackRaceFreeAndDeterministic)
-{
-    const mrf::MrfProblem problem = makeProblem(24, 20, 4);
-    mrf::SolverConfig cfg;
-    cfg.annealing.t0 = 10.0;
-    cfg.annealing.tEnd = 0.9;
-    cfg.annealing.sweeps = 6;
-    cfg.seed = 1234;
-    cfg.stripes = 5;
-
-    mrf::SolverTrace refTrace;
-    core::SoftwareSampler refSampler;
-    img::LabelMap ref = mrf::CheckerboardGibbsSolver(cfg).run(
-        problem, refSampler, &refTrace);
-
-    cfg.overlapHalo = true;
-    cfg.threads = 2;
-    for (int shards : {2, 4}) {
-        SCOPED_TRACE("shards=" + std::to_string(shards));
-        shard::ShardOptions options;
-        options.shards = shards;
-        options.transport = shard::ShardOptions::Transport::Loopback;
-        mrf::SolverTrace trace;
-        core::SoftwareSampler sampler;
-        img::LabelMap got =
-            shard::ShardedCheckerboardSolver(cfg, options)
-                .run(problem, sampler, &trace);
-        EXPECT_EQ(got.data(), ref.data());
-        EXPECT_EQ(trace.energyPerSweep, refTrace.energyPerSweep);
-        EXPECT_EQ(trace.labelChanges, refTrace.labelChanges);
-        EXPECT_EQ(trace.pixelUpdates, refTrace.pixelUpdates);
+        for (int threads : {1, 2}) {
+            SCOPED_TRACE("shards=" + std::to_string(shards) +
+                         " threads=" + std::to_string(threads));
+            cfg.threads = threads;
+            shard::ShardOptions options;
+            options.shards = shards;
+            mrf::SolverTrace trace;
+            core::SoftwareSampler sampler;
+            img::LabelMap got =
+                shard::ShardedCheckerboardSolver(cfg, options)
+                    .run(problem, sampler, &trace);
+            EXPECT_EQ(got.data(), ref.data());
+            EXPECT_EQ(trace.energyPerSweep, refTrace.energyPerSweep);
+            EXPECT_EQ(trace.labelChanges, refTrace.labelChanges);
+            EXPECT_EQ(trace.pixelUpdates, refTrace.pixelUpdates);
+        }
     }
 }
 

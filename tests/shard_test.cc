@@ -3,21 +3,15 @@
  * Sharded-solver layer tests: TilePartition edge cases (1-row tiles,
  * more shards than stripes, non-divisible heights, halo indexing at
  * the grid boundary), partition-independence of the per-stripe RNG
- * stream keys, frame round-trips over a socketpair, and the headline
- * equivalence contract on the loopback transport — a run sharded N
- * ways is byte-identical (labels, trace, final snapshot) to the
- * serial striped run, for the synchronous AND the overlapped
- * (boundary-first) halo schedule at several intra-rank thread counts.
- * Socket-transport equivalence and the crash drill live in
- * tools/shard_check (forking inside the gtest process is off the
- * table: the suite is multi-threaded).
+ * stream keys, the loopback mesh's matched receive, and the headline
+ * equivalence contract — a run sharded N ways at any intra-rank
+ * thread count is byte-identical (labels, trace, final snapshot) to
+ * the serial striped run, also when it resumes a mid-anneal snapshot.
  */
 
+#include <memory>
 #include <string>
 #include <vector>
-
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -30,7 +24,6 @@
 #include "shard/sharded_solver.hh"
 #include "shard/tile_partition.hh"
 #include "shard/transport.hh"
-#include "util/framing.hh"
 
 namespace {
 
@@ -171,133 +164,25 @@ TEST(TilePartition, StripeStreamKeysAreShardCountIndependent)
 }
 
 // ------------------------------------------------------------------
-// Frame round-trips
+// Loopback mesh
 
-TEST(Framing, RoundTripsTagAndPayloadOverSocketpair)
-{
-    int fds[2];
-    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-
-    std::vector<unsigned char> payload;
-    for (int i = 0; i < 300; ++i)
-        payload.push_back(static_cast<unsigned char>(i * 7));
-    util::writeFrame(fds[0], 42, payload.data(), payload.size());
-    util::writeFrame(fds[0], 7, nullptr, 0); // empty payload
-
-    util::Frame a = util::readFrame(fds[1]);
-    EXPECT_EQ(a.tag, 42u);
-    EXPECT_EQ(a.payload, payload);
-    util::Frame b = util::readFrame(fds[1]);
-    EXPECT_EQ(b.tag, 7u);
-    EXPECT_TRUE(b.payload.empty());
-
-    ::close(fds[0]);
-    ::close(fds[1]);
-}
-
-TEST(Framing, PreservesFrameOrderUnderBackToBackWrites)
-{
-    int fds[2];
-    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-    for (std::uint32_t tag = 1; tag <= 24; ++tag) {
-        unsigned char byte = static_cast<unsigned char>(tag);
-        util::writeFrame(fds[0], tag, &byte, 1);
-    }
-    for (std::uint32_t tag = 1; tag <= 24; ++tag) {
-        util::Frame f = util::readFrame(fds[1]);
-        EXPECT_EQ(f.tag, tag);
-        ASSERT_EQ(f.payload.size(), 1u);
-        EXPECT_EQ(f.payload[0], static_cast<unsigned char>(tag));
-    }
-    ::close(fds[0]);
-    ::close(fds[1]);
-}
-
-TEST(Framing, AppendFrameBytesParseBackAsFrames)
-{
-    // appendFrame (the async-send outbox serializer) must produce the
-    // exact wire format readFrame parses.
-    int fds[2];
-    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-
-    std::vector<unsigned char> payload;
-    for (int i = 0; i < 300; ++i)
-        payload.push_back(static_cast<unsigned char>(i * 3 + 1));
-    std::vector<unsigned char> wire;
-    util::appendFrame(wire, 42, payload.data(), payload.size());
-    util::appendFrame(wire, 7, nullptr, 0); // empty payload
-    const unsigned char *p = wire.data();
-    std::size_t left = wire.size();
-    while (left > 0) {
-        ssize_t n = ::write(fds[0], p, left);
-        ASSERT_GT(n, 0);
-        p += n;
-        left -= static_cast<std::size_t>(n);
-    }
-
-    util::Frame a = util::readFrame(fds[1]);
-    EXPECT_EQ(a.tag, 42u);
-    EXPECT_EQ(a.payload, payload);
-    util::Frame b = util::readFrame(fds[1]);
-    EXPECT_EQ(b.tag, 7u);
-    EXPECT_TRUE(b.payload.empty());
-
-    ::close(fds[0]);
-    ::close(fds[1]);
-}
-
-// ------------------------------------------------------------------
-// Transport stash + tryRecv
-
-TEST(ShardTransport, MatchedRecvStashesOvertakenHaloFrames)
-{
-    // A kHalo posted ahead of a kJoin must not trip the matched-recv
-    // protocol check: the join recv parks it, and the next halo
-    // recv/tryRecv drains the stash before touching the channel.
-    shard::LoopbackMesh mesh(2);
-    shard::ShardTransport &tx = mesh.transport(0);
-    shard::ShardTransport &rx = mesh.transport(1);
-
-    const unsigned char halo[] = {0xaa, 0xbb};
-    const unsigned char join[] = {0x01};
-    tx.sendAsync(1, shard::tag::kHalo, halo, sizeof halo);
-    tx.send(1, shard::tag::kJoin, join, sizeof join);
-
-    std::vector<unsigned char> got = rx.recv(0, shard::tag::kJoin);
-    ASSERT_EQ(got.size(), sizeof join);
-    EXPECT_EQ(got[0], 0x01);
-
-    std::vector<unsigned char> ghost;
-    ASSERT_TRUE(rx.tryRecv(0, shard::tag::kHalo, &ghost));
-    ASSERT_EQ(ghost.size(), sizeof halo);
-    EXPECT_EQ(ghost[0], 0xaa);
-    EXPECT_EQ(ghost[1], 0xbb);
-}
-
-TEST(ShardTransport, TryRecvReportsEmptyChannelWithoutBlocking)
+TEST(LoopbackMesh, MatchedRecvDeliversInOrderAndRejectsWrongTag)
 {
     shard::LoopbackMesh mesh(2);
-    std::vector<unsigned char> payload{0xff};
-    EXPECT_FALSE(mesh.transport(1).tryRecv(0, shard::tag::kHalo,
-                                           &payload));
-    // A failed tryRecv leaves the output untouched.
-    ASSERT_EQ(payload.size(), 1u);
-    EXPECT_EQ(payload[0], 0xff);
+    shard::LoopbackMesh::Endpoint tx = mesh.endpoint(0);
+    shard::LoopbackMesh::Endpoint rx = mesh.endpoint(1);
+    tx.send(1, shard::tag::kHalo, {0xaa, 0xbb});
+    tx.send(1, shard::tag::kJoin, {});
+    EXPECT_EQ(rx.recv(0, shard::tag::kHalo),
+              (std::vector<unsigned char>{0xaa, 0xbb}));
+    EXPECT_TRUE(rx.recv(0, shard::tag::kJoin).empty());
 
-    // And frames already delivered are picked up without blocking,
-    // preserving per-peer FIFO order across async and blocking sends.
-    const unsigned char a = 1, b = 2;
-    mesh.transport(0).sendAsync(1, shard::tag::kHalo, &a, 1);
-    mesh.transport(0).sendAsync(1, shard::tag::kHalo, &b, 1);
-    std::vector<unsigned char> first, second;
-    ASSERT_TRUE(
-        mesh.transport(1).tryRecv(0, shard::tag::kHalo, &first));
-    ASSERT_TRUE(
-        mesh.transport(1).tryRecv(0, shard::tag::kHalo, &second));
-    ASSERT_EQ(first.size(), 1u);
-    ASSERT_EQ(second.size(), 1u);
-    EXPECT_EQ(first[0], 1);
-    EXPECT_EQ(second[0], 2);
+    // A desynchronized protocol is a named diagnostic, not misread
+    // bytes.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    tx.send(1, shard::tag::kHalo, {0x01});
+    EXPECT_DEATH(rx.recv(0, shard::tag::kGather),
+                 "rank 1 expected tag 3 from rank 0, got 1");
 }
 
 // ------------------------------------------------------------------
@@ -354,21 +239,28 @@ runReference(const mrf::MrfProblem &problem, int stripes)
     return r;
 }
 
+/** Sharded solve; @p resume, when set, is the snapshot it starts
+ *  from, and @p midpoint, when set, receives the first snapshot at or
+ *  past mid-anneal. */
 RunResult
 runLoopback(const mrf::MrfProblem &problem, int stripes, int shards,
-            bool overlapHalo = false, int threads = 1)
+            int threads = 1,
+            std::shared_ptr<const mrf::SolverCheckpoint> resume = nullptr,
+            std::shared_ptr<mrf::SolverCheckpoint> *midpoint = nullptr)
 {
     RunResult r;
     mrf::SolverConfig cfg = solverConfig(stripes);
-    cfg.overlapHalo = overlapHalo;
     cfg.threads = threads;
-    cfg.checkpointSink = [&](const mrf::SolverCheckpoint &cp) {
+    cfg.resume = std::move(resume);
+    cfg.checkpointSink = [&r, midpoint](const mrf::SolverCheckpoint &cp) {
         if (cp.sweepsDone == cp.sweepsTotal)
             r.snapshot = cp.serialize();
+        else if (midpoint && !*midpoint &&
+                 2 * cp.sweepsDone >= cp.sweepsTotal)
+            *midpoint = std::make_shared<mrf::SolverCheckpoint>(cp);
     };
     shard::ShardOptions options;
     options.shards = shards;
-    options.transport = shard::ShardOptions::Transport::Loopback;
     core::SoftwareSampler sampler;
     r.labels = shard::ShardedCheckerboardSolver(cfg, options)
                    .run(problem, sampler, &r.trace);
@@ -389,21 +281,39 @@ expectSameRun(const RunResult &ref, const RunResult &got)
 
 TEST(ShardedSolver, LoopbackMatchesSerialStripedByteForByte)
 {
+    // The headline contract at every shards x threads combination,
+    // plus one-row tiles (height == stripes == shards: every tile is
+    // a single row with a ghost row on each side).
     const mrf::MrfProblem problem = makeProblem();
     const RunResult ref = runReference(problem, 4);
     for (int shards : {2, 3, 4}) {
-        SCOPED_TRACE("shards=" + std::to_string(shards));
-        expectSameRun(ref, runLoopback(problem, 4, shards));
+        for (int threads : {1, 2, 4}) {
+            SCOPED_TRACE("shards=" + std::to_string(shards) +
+                         " threads=" + std::to_string(threads));
+            expectSameRun(ref,
+                          runLoopback(problem, 4, shards, threads));
+        }
+    }
+    const mrf::MrfProblem rows = makeProblem(12, 6);
+    const RunResult rowsRef = runReference(rows, 6);
+    for (int threads : {1, 2}) {
+        SCOPED_TRACE("one-row tiles, threads=" +
+                     std::to_string(threads));
+        expectSameRun(rowsRef, runLoopback(rows, 6, 6, threads));
     }
 }
 
 TEST(ShardedSolver, EmptyRanksDoNotPerturbTheResult)
 {
-    // More shards than stripes: the surplus ranks own nothing and the
-    // result must still be identical.
+    // More shards than stripes: the surplus ranks own nothing, take
+    // no part in the halo exchange, and the result must still be
+    // identical.
     const mrf::MrfProblem problem = makeProblem(10, 9);
     const RunResult ref = runReference(problem, 3);
-    expectSameRun(ref, runLoopback(problem, 3, 5));
+    for (int threads : {1, 2}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        expectSameRun(ref, runLoopback(problem, 3, 5, threads));
+    }
 }
 
 TEST(ShardedSolver, SingleShardDelegatesToSerialSolver)
@@ -413,45 +323,41 @@ TEST(ShardedSolver, SingleShardDelegatesToSerialSolver)
     expectSameRun(ref, runLoopback(problem, 4, 1));
 }
 
-// ------------------------------------------------------------------
-// Overlapped (boundary-first) schedule equivalence
-
-TEST(ShardedSolver, OverlapOnIsByteIdenticalToOverlapOff)
+TEST(ShardedSolver, ResumesMidAnnealSnapshotByteForByte)
 {
-    // The headline schedule-invariance contract: overlapping the halo
-    // exchange with interior compute, at any intra-rank thread count,
-    // must not change a single byte of labels, trace or snapshot.
     const mrf::MrfProblem problem = makeProblem();
     const RunResult ref = runReference(problem, 4);
-    for (int shards : {1, 2, 4}) {
-        for (int threads : {1, 2, 4}) {
-            SCOPED_TRACE("shards=" + std::to_string(shards) +
-                         " threads=" + std::to_string(threads));
-            expectSameRun(
-                ref, runLoopback(problem, 4, shards, true, threads));
+
+    // Serial -> sharded: the striped solver's mid-anneal snapshot.
+    std::shared_ptr<mrf::SolverCheckpoint> serialMid;
+    {
+        mrf::SolverConfig cfg = solverConfig(4);
+        cfg.checkpointSink = [&](const mrf::SolverCheckpoint &cp) {
+            if (!serialMid && 2 * cp.sweepsDone >= cp.sweepsTotal)
+                serialMid = std::make_shared<mrf::SolverCheckpoint>(cp);
+        };
+        core::SoftwareSampler sampler;
+        mrf::CheckerboardGibbsSolver(cfg).run(problem, sampler);
+    }
+    ASSERT_TRUE(serialMid);
+    ASSERT_LT(serialMid->sweepsDone, serialMid->sweepsTotal);
+
+    for (int shards : {2, 4}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards));
+        expectSameRun(ref, runLoopback(problem, 4, shards, 1, serialMid));
+
+        // Sharded -> sharded, at this shard count and at the other.
+        std::shared_ptr<mrf::SolverCheckpoint> mid;
+        runLoopback(problem, 4, shards, 1, nullptr, &mid);
+        ASSERT_TRUE(mid);
+        EXPECT_EQ(mid->serialize(), serialMid->serialize());
+        for (int resumeShards : {shards, 6 - shards}) {
+            SCOPED_TRACE("resumed at shards=" +
+                         std::to_string(resumeShards));
+            expectSameRun(ref,
+                          runLoopback(problem, 4, resumeShards, 1, mid));
         }
     }
-}
-
-TEST(ShardedSolver, OverlapWithOneRowTiles)
-{
-    // height == stripes == shards: every tile is one row, so a rank's
-    // "boundary" stripes and its whole tile coincide (k0 == k1 - 1)
-    // and there is no interior left to overlap with.  The schedule
-    // must degrade to the synchronous result, not deadlock or
-    // double-run the single stripe.
-    const mrf::MrfProblem problem = makeProblem(12, 6);
-    const RunResult ref = runReference(problem, 6);
-    expectSameRun(ref, runLoopback(problem, 6, 6, true, 2));
-}
-
-TEST(ShardedSolver, OverlapWithMoreShardsThanStripes)
-{
-    // Surplus empty ranks sit out the phase entirely; overlapped
-    // halos must only flow between the non-empty neighbors.
-    const mrf::MrfProblem problem = makeProblem(10, 9);
-    const RunResult ref = runReference(problem, 3);
-    expectSameRun(ref, runLoopback(problem, 3, 5, true, 2));
 }
 
 } // namespace

@@ -26,9 +26,9 @@
  *                          runs that started before K)
  *   --values-out=P         dump the observed metric values as JSON
  *
- * Sharded runs additionally honor the schedule knobs --threads= and
- * --overlap-halo=on|off (shard/shard_cli.hh); the CI leg proves the
- * values file stays byte-identical across every combination.
+ * Sharded runs (--shards=N) additionally honor the schedule knob
+ * --threads= (shard/shard_cli.hh); the CI leg proves the values file
+ * stays byte-identical across every combination.
  *
  * Looping "run until exit 0" with --resume and --die-at-sweep kills
  * and resumes each app in turn; because resume is bit-exact, the
@@ -92,19 +92,17 @@ constexpr MetricDef kMetrics[] = {
  *  runs the gate under fastpath against the same baselines). */
 core::RaceMode g_race_mode = core::RaceMode::Race;
 
-/** `--shards=` / `--shard-transport=` / `--die-shard[-at]=`: when
- *  shards > 1 (or a shard crash drill is armed) every app solves
- *  through the sharded checkerboard solver.  Sharding implies the
- *  chromatic schedule, so the pinned raster baselines do not apply —
- *  sharded runs skip the baseline comparison and are validated by
- *  comparing --values-out files across runs instead (the CI
- *  shard-equivalence leg). */
+/** `--shards=`: when shards > 1 every app solves through the sharded
+ *  checkerboard solver.  Sharding implies the chromatic schedule, so
+ *  the pinned raster baselines do not apply — sharded runs skip the
+ *  baseline comparison and are validated by comparing --values-out
+ *  files across runs instead (the CI shard-equivalence leg). */
 shard::ShardOptions g_shard_options;
 
-/** `--threads=` / `--overlap-halo=`: schedule-only solver knobs
- *  applied to every app config; results are byte-identical for any
- *  setting, so the gated metrics must not move. */
-shard::SolverTuning g_solver_tuning;
+/** `--threads=` (-1 = absent): schedule-only solver knob applied to
+ *  every app config; results are byte-identical for any setting, so
+ *  the gated metrics must not move. */
+int g_threads = -1;
 
 core::RsuSampler
 makeSampler()
@@ -134,7 +132,7 @@ void
 armCheckpointing(mrf::SolverConfig &cfg, const CheckpointDrill &drill,
                  const std::string &app)
 {
-    shard::applySolverTuning(g_solver_tuning, &cfg);
+    shard::applyThreads(g_threads, &cfg);
     shard::applyShardBackend(g_shard_options, &cfg);
     if (drill.dir.empty())
         return;
@@ -169,7 +167,12 @@ armCheckpointing(mrf::SolverConfig &cfg, const CheckpointDrill &drill,
                              "after sweep %d (snapshot %s)\n",
                              app.c_str(), cp.sweepsDone,
                              path.c_str());
-                std::exit(17);
+                // The sink runs on the solver's thread, and a sharded
+                // solve still has live rank threads: std::exit would
+                // run static destructors under them.  The snapshot is
+                // already on disk, so flush stdio and leave at once.
+                std::fflush(nullptr);
+                std::_Exit(17);
             }
         };
     }
@@ -376,9 +379,8 @@ main(int argc, char **argv)
     simd::backendFromCli(args); // --simd= dispatch override
     g_race_mode = core::raceModeFromCli(args);
     g_shard_options = shard::shardOptionsFromCli(args);
-    g_solver_tuning = shard::solverTuningFromCli(args);
-    const bool sharded = g_shard_options.shards > 1 ||
-                         g_shard_options.dieRank >= 0;
+    g_threads = shard::threadsFromCli(args);
+    const bool sharded = g_shard_options.shards > 1;
     const std::string baselines = args.getString(
         "baselines", "tests/golden/quality_baselines.json");
 
@@ -424,7 +426,7 @@ main(int argc, char **argv)
         // The baselines pin the raster solver's output; sharded runs
         // use the chromatic schedule, so equivalence is proven by
         // byte-comparing --values-out files across shard counts and
-        // transports instead (the CI shard-equivalence leg).
+        // thread counts instead (the CI shard-equivalence leg).
         std::printf("quality_gate: sharded run (--shards=%d), "
                     "skipping raster baseline comparison\n",
                     g_shard_options.shards);

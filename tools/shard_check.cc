@@ -7,40 +7,30 @@
  * denoising, motion, segmentation — same scenes, seeds and schedules
  * as tools/quality_gate) it runs the serial striped
  * CheckerboardGibbsSolver as the reference and then the
- * ShardedCheckerboardSolver at every {2, 4} shard count × {loopback,
- * socket} transport, and requires BYTE-IDENTICAL results across all of
- * them:
+ * ShardedCheckerboardSolver at {2, 4} shards, and requires
+ * BYTE-IDENTICAL results across all of them:
  *
  *   - the final label field,
  *   - the full SolverTrace (FP energy series, temperatures, counters),
  *   - the final SOLVERCP snapshot payload (labels + RNG streams +
  *     caller/stripe sampler states + trace).
  *
- * It then runs the crash drill: a forked child solves the stereo
- * miniature on the socket transport with --die semantics (worker rank
- * 1 _Exit(17)s after a mid-run checkpoint and rank 0 propagates exit
- * 17), the parent verifies the exit code, resumes from the surviving
- * snapshot, and requires the resumed run's final snapshot and labels
- * to be byte-identical to the uninterrupted reference.  Exit 0 only if
- * every comparison holds.
+ * Each sharded run also keeps its first snapshot at or past
+ * mid-anneal.  A fresh sharded run at the other shard count resumes
+ * from that snapshot, and its labels, trace and final snapshot must
+ * match the uninterrupted serial reference byte for byte too.  Exit 0
+ * only if every comparison holds.
  *
- *   --tmpdir=D   scratch directory for drill snapshots (default ".")
- *
- * The schedule knobs --overlap-halo=on|off and --threads=N
- * (shard/shard_cli.hh) apply to every SHARDED run and to the crash
- * drill, while the serial reference stays the pristine striped
- * solver — so a `--overlap-halo=on --threads=2` invocation proves the
- * overlapped, threaded schedule byte-identical to the very same
- * synchronous serial goldens.
+ * --threads=N (shard/shard_cli.hh) applies to every SHARDED run while
+ * the serial reference stays the 1-thread striped solver, so a
+ * `--threads=2` invocation proves the threaded ranks byte-identical
+ * to the very same serial goldens.
  */
 
 #include <cstdio>
-#include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
-
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include "apps/denoising.hh"
 #include "apps/motion.hh"
@@ -60,8 +50,8 @@ namespace {
 
 using namespace retsim;
 
-/** --overlap-halo= / --threads=, applied to sharded runs only. */
-shard::SolverTuning g_tuning;
+/** --threads=, applied to sharded runs only (-1 = absent). */
+int g_threads = -1;
 
 core::RsuSampler
 makeSampler()
@@ -149,22 +139,14 @@ buildMiniatures()
     return minis;
 }
 
-mrf::SolverConfig
-withSnapshotCapture(const mrf::SolverConfig &base,
-                    std::vector<unsigned char> *out)
-{
-    mrf::SolverConfig cfg = base;
-    cfg.checkpointSink = [out](const mrf::SolverCheckpoint &cp) {
-        *out = cp.serialize();
-    };
-    return cfg;
-}
-
 RunResult
 runSerial(const Miniature &m)
 {
     RunResult r;
-    mrf::SolverConfig cfg = withSnapshotCapture(m.config, &r.snapshot);
+    mrf::SolverConfig cfg = m.config;
+    cfg.checkpointSink = [&r](const mrf::SolverCheckpoint &cp) {
+        r.snapshot = cp.serialize();
+    };
     auto sampler = makeSampler();
     r.labels =
         mrf::CheckerboardGibbsSolver(cfg).run(m.problem, sampler,
@@ -172,12 +154,39 @@ runSerial(const Miniature &m)
     return r;
 }
 
+/**
+ * Sharded solve of @p m at @p shards ranks.  With @p midpoint set, the
+ * run also keeps its first snapshot at or past mid-anneal there; with
+ * @p resume set, it starts from that snapshot instead of sweep 0.
+ */
 RunResult
-runSharded(const Miniature &m, const shard::ShardOptions &options)
+runSharded(const Miniature &m, int shards,
+           std::shared_ptr<const mrf::SolverCheckpoint> resume = nullptr,
+           std::shared_ptr<mrf::SolverCheckpoint> *midpoint = nullptr)
 {
     RunResult r;
-    mrf::SolverConfig cfg = withSnapshotCapture(m.config, &r.snapshot);
-    shard::applySolverTuning(g_tuning, &cfg);
+    mrf::SolverConfig cfg = m.config;
+    shard::applyThreads(g_threads, &cfg);
+    cfg.resume = std::move(resume);
+    const int mid = m.config.annealing.sweeps / 2;
+    cfg.checkpointSink = [&r, midpoint,
+                          mid](const mrf::SolverCheckpoint &cp) {
+        r.snapshot = cp.serialize();
+        if (midpoint && !*midpoint && cp.sweepsDone >= mid &&
+            cp.sweepsDone < cp.sweepsTotal) {
+            // Round-trip through the serialized form, as a resume
+            // from disk would.
+            auto copy = std::make_shared<mrf::SolverCheckpoint>();
+            std::string error;
+            if (!mrf::SolverCheckpoint::deserialize(r.snapshot,
+                                                    copy.get(), &error))
+                RETSIM_FATAL("shard_check: snapshot unreadable: ",
+                             error);
+            *midpoint = std::move(copy);
+        }
+    };
+    shard::ShardOptions options;
+    options.shards = shards;
     auto sampler = makeSampler();
     r.labels = shard::ShardedCheckerboardSolver(cfg, options)
                    .run(m.problem, sampler, &r.trace);
@@ -219,121 +228,37 @@ compareRuns(const std::string &what, const RunResult &ref,
         ++g_failures;
 }
 
-/**
- * Kill-one-shard drill on the stereo miniature: child process runs the
- * socket-transport solve with worker rank 1 dying after the first
- * checkpoint at or past mid-anneal, parent verifies exit 17, resumes
- * from the snapshot the drill left behind, and compares against the
- * uninterrupted reference.
- */
-void
-runCrashDrill(const Miniature &m, const RunResult &ref,
-              const std::string &tmpdir)
-{
-    const std::string path = tmpdir + "/shard_drill_" + m.name +
-                             ".ckpt";
-    const int dieAt = m.config.annealing.sweeps / 2;
-
-    // The child exits through std::exit(17), which flushes stdio — an
-    // inherited unflushed buffer would replay the parent's output.
-    std::fflush(nullptr);
-    pid_t pid = ::fork();
-    RETSIM_ASSERT(pid >= 0, "shard_check: fork failed");
-    if (pid == 0) {
-        mrf::SolverConfig cfg = m.config;
-        cfg.checkpointPath = path;
-        shard::applySolverTuning(g_tuning, &cfg);
-        shard::ShardOptions options;
-        options.shards = 2;
-        options.transport = shard::ShardOptions::Transport::Socket;
-        options.dieRank = 1;
-        options.dieAtSweep = dieAt;
-        auto sampler = makeSampler();
-        shard::ShardedCheckerboardSolver(cfg, options)
-            .run(m.problem, sampler);
-        // The die path exits 17 before run() returns.
-        std::_Exit(98);
-    }
-    int status = 0;
-    RETSIM_ASSERT(::waitpid(pid, &status, 0) == pid,
-                  "shard_check: waitpid failed");
-    if (!WIFEXITED(status) || WEXITSTATUS(status) != 17) {
-        std::fprintf(stderr,
-                     "FAIL drill %s: expected exit 17, status 0x%x\n",
-                     m.name.c_str(), status);
-        ++g_failures;
-        return;
-    }
-
-    auto cp = std::make_shared<mrf::SolverCheckpoint>();
-    std::string error;
-    if (!mrf::SolverCheckpoint::readFile(path, cp.get(), &error))
-        RETSIM_FATAL("shard_check: drill snapshot unreadable: ",
-                     error);
-    RETSIM_ASSERT(cp->sweepsDone >= dieAt &&
-                      cp->sweepsDone < cp->sweepsTotal,
-                  "shard_check: drill died at an unexpected sweep ",
-                  cp->sweepsDone);
-    std::printf("     drill %s: worker killed after sweep %d, "
-                "resuming\n",
-                m.name.c_str(), cp->sweepsDone);
-
-    RunResult resumed;
-    mrf::SolverConfig cfg =
-        withSnapshotCapture(m.config, &resumed.snapshot);
-    shard::applySolverTuning(g_tuning, &cfg);
-    cfg.resume = std::move(cp);
-    shard::ShardOptions options;
-    options.shards = 2;
-    options.transport = shard::ShardOptions::Transport::Socket;
-    auto sampler = makeSampler();
-    resumed.labels = shard::ShardedCheckerboardSolver(cfg, options)
-                         .run(m.problem, sampler, &resumed.trace);
-    compareRuns("drill " + m.name + " kill+resume vs serial", ref,
-                resumed);
-    std::remove(path.c_str());
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     util::CliArgs args(argc, argv);
-    const std::string tmpdir = args.getString("tmpdir", ".");
-    g_tuning = shard::solverTuningFromCli(args);
-    if (g_tuning.overlapHalo >= 0 || g_tuning.threads >= 0)
-        std::printf("shard_check: sharded runs use overlap-halo=%s "
-                    "threads=%d\n",
-                    g_tuning.overlapHalo == 1 ? "on" : "off",
-                    g_tuning.threads < 0 ? 1 : g_tuning.threads);
+    g_threads = shard::threadsFromCli(args);
+    if (g_threads >= 0)
+        std::printf("shard_check: sharded runs use threads=%d\n",
+                    g_threads);
 
-    std::vector<Miniature> minis = buildMiniatures();
-    for (const Miniature &m : minis) {
+    for (const Miniature &m : buildMiniatures()) {
         RunResult ref = runSerial(m);
         std::printf("ref  %s: %d sweeps, stripes=%d\n",
                     m.name.c_str(), m.config.annealing.sweeps,
                     m.config.stripes);
         for (int shards : {2, 4}) {
-            for (auto transport :
-                 {shard::ShardOptions::Transport::Loopback,
-                  shard::ShardOptions::Transport::Socket}) {
-                shard::ShardOptions options;
-                options.shards = shards;
-                options.transport = transport;
-                RunResult got = runSharded(m, options);
-                compareRuns(
-                    m.name + " shards=" + std::to_string(shards) +
-                        " transport=" +
-                        (transport ==
-                                 shard::ShardOptions::Transport::
-                                     Loopback
-                             ? "loopback"
-                             : "socket"),
-                    ref, got);
-            }
+            std::shared_ptr<mrf::SolverCheckpoint> midpoint;
+            compareRuns(m.name + " shards=" + std::to_string(shards),
+                        ref, runSharded(m, shards, nullptr, &midpoint));
+            RETSIM_ASSERT(midpoint, "shard_check: ", m.name,
+                          " emitted no mid-anneal snapshot");
+            const int resumeShards = shards == 2 ? 4 : 2;
+            const int done = midpoint->sweepsDone;
+            compareRuns(m.name + " shards=" + std::to_string(shards) +
+                            " snapshot@" + std::to_string(done) +
+                            " resumed at shards=" +
+                            std::to_string(resumeShards),
+                        ref,
+                        runSharded(m, resumeShards, std::move(midpoint)));
         }
-        runCrashDrill(m, ref, tmpdir);
     }
 
     if (g_failures > 0) {
