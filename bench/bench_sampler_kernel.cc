@@ -2,15 +2,19 @@
  * @file
  * Scalar vs. batched row-kernel sampling throughput.
  *
- * PR 2 introduced sampleRow(): one call per color-phase row over a
- * pixel-major energy plane, replacing per-pixel virtual sample()
- * dispatch.  This bench isolates that kernel — energy planes are
- * produced once from a realistic stereo labeling, then each sampler
- * is timed over the identical planes through both entry points under
- * an annealing-style temperature schedule.  Both paths start from the
- * same seed, so their chosen labels must agree exactly (checked); the
- * difference is time only.  Emits BENCH_sampler_kernel.json so later
- * PRs can regress the kernel speedup.
+ * sampleRow() samples one color-phase row per call over a pixel-major
+ * energy plane instead of one virtual sample() call per pixel.  This
+ * bench isolates that kernel — energy planes are produced once from a
+ * realistic stereo labeling, then each sampler is timed over the
+ * identical planes through both entry points under an annealing-style
+ * temperature schedule.  Both paths start from the same seed, so their
+ * chosen labels must agree exactly (checked); the difference is time
+ * only.  For the literal-race RSU rows, sample() is itself a one-pixel
+ * sampleRow(), so their labels are also checked against the literal
+ * per-pixel reference sampler (tests/rsu_reference.hh), and their
+ * "scalar" column times the one-pixel row.  Every timing is the median
+ * over --reps repeats.  Emits BENCH_sampler_kernel.json so later
+ * changes can regress the kernel speedup.
  */
 
 #include <algorithm>
@@ -29,6 +33,7 @@
 #include "core/ttf_race.hh"
 #include "img/image.hh"
 #include "mrf/problem.hh"
+#include "rsu_reference.hh"
 #include "simd/kernels.hh"
 #include "simd/simd_cli.hh"
 #include "util/fixed_point.hh"
@@ -36,6 +41,15 @@
 namespace {
 
 using namespace retsim;
+
+/** Median of the per-repeat timings. */
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
 
 /** Pixel-major conditional-energy planes for whole color-phase rows,
  *  gathered once so timing excludes the energy stage. */
@@ -106,13 +120,15 @@ struct KernelTiming
 /**
  * Time one sampler through both entry points over the same planes and
  * temperatures.  Fresh sampler + reseeded generator per pass keeps the
- * draw sequences identical; the min over reps discards scheduler
+ * draw sequences identical; the median over reps tames scheduler
  * noise.  One untimed warm-up pass per path pre-builds conversion
  * tables (shared LUT cache, rate tables) so neither path bills
- * first-touch cost.
+ * first-touch cost.  A non-empty @p reference adds an untimed scalar
+ * pass of that sampler whose labels both timed paths must reproduce.
  */
 KernelTiming
-timeKernel(const bench::SamplerFactory &factory, const PlaneSet &set,
+timeKernel(const bench::SamplerFactory &factory,
+           const bench::SamplerFactory &reference, const PlaneSet &set,
            const std::vector<double> &temps, int reps,
            std::uint64_t seed)
 {
@@ -156,7 +172,7 @@ timeKernel(const bench::SamplerFactory &factory, const PlaneSet &set,
     scalar_labels.reserve(samples);
     batched_labels.reserve(samples);
 
-    double scalar_best = 1e300, batched_best = 1e300;
+    std::vector<double> scalar_s, batched_s;
     for (int rep = 0; rep < reps; ++rep) {
         {
             auto sampler = factory();
@@ -169,7 +185,7 @@ timeKernel(const bench::SamplerFactory &factory, const PlaneSet &set,
             scalar_pass(*sampler, gen, rec);
             std::chrono::duration<double> dt =
                 std::chrono::steady_clock::now() - start;
-            scalar_best = std::min(scalar_best, dt.count());
+            scalar_s.push_back(dt.count());
         }
         {
             auto sampler = factory();
@@ -182,15 +198,24 @@ timeKernel(const bench::SamplerFactory &factory, const PlaneSet &set,
             batched_pass(*sampler, gen, rec);
             std::chrono::duration<double> dt =
                 std::chrono::steady_clock::now() - start;
-            batched_best = std::min(batched_best, dt.count());
+            batched_s.push_back(dt.count());
         }
     }
 
     result.scalarNsPerSample =
-        scalar_best * 1e9 / static_cast<double>(samples);
+        median(scalar_s) * 1e9 / static_cast<double>(samples);
     result.batchedNsPerSample =
-        batched_best * 1e9 / static_cast<double>(samples);
+        median(batched_s) * 1e9 / static_cast<double>(samples);
     result.outputsMatch = scalar_labels == batched_labels;
+    if (reference) {
+        auto sampler = reference();
+        rng::Xoshiro256 gen(seed);
+        std::vector<int> reference_labels;
+        reference_labels.reserve(samples);
+        scalar_pass(*sampler, gen, &reference_labels);
+        result.outputsMatch =
+            result.outputsMatch && reference_labels == batched_labels;
+    }
     return result;
 }
 
@@ -266,7 +291,7 @@ timeFastPath(const bench::SamplerFactory &factory, const PlaneSet &set,
     }
 
     std::vector<int> scalar_labels, batched_labels;
-    double fast_best = 1e300;
+    std::vector<double> fast_s;
     for (int rep = 0; rep < reps; ++rep) {
         auto sampler = factory();
         rng::Xoshiro256 warm(seed);
@@ -277,10 +302,10 @@ timeFastPath(const bench::SamplerFactory &factory, const PlaneSet &set,
         batched_pass(*sampler, gen, rec);
         std::chrono::duration<double> dt =
             std::chrono::steady_clock::now() - start;
-        fast_best = std::min(fast_best, dt.count());
+        fast_s.push_back(dt.count());
     }
     result.uncachedNsPerSample =
-        fast_best * 1e9 / static_cast<double>(samples);
+        median(fast_s) * 1e9 / static_cast<double>(samples);
 
     // Row-cached pipeline: the solver's sweep-persistent per-pixel
     // quantize/classify cache, with bench-owned key slabs (one per
@@ -311,7 +336,7 @@ timeFastPath(const bench::SamplerFactory &factory, const PlaneSet &set,
                                        out.end());
                 }
         };
-        double cached_best = 1e300;
+        std::vector<double> cached_s;
         for (int rep = 0; rep < reps; ++rep) {
             auto sampler = factory();
             rng::Xoshiro256 warm(seed);
@@ -340,7 +365,7 @@ timeFastPath(const bench::SamplerFactory &factory, const PlaneSet &set,
             cached_pass(*sampler, gen, rec);
             std::chrono::duration<double> dt =
                 std::chrono::steady_clock::now() - start;
-            cached_best = std::min(cached_best, dt.count());
+            cached_s.push_back(dt.count());
             if (rep == 0 && rc) {
                 // Stats accumulate over the sampler's lifetime, so
                 // diff around the timed pass to exclude the prime.
@@ -359,7 +384,7 @@ timeFastPath(const bench::SamplerFactory &factory, const PlaneSet &set,
             }
         }
         result.fastNsPerSample =
-            cached_best * 1e9 / static_cast<double>(samples);
+            median(cached_s) * 1e9 / static_cast<double>(samples);
     } else {
         result.fastNsPerSample = result.uncachedNsPerSample;
     }
@@ -404,17 +429,17 @@ timeBreakdown(const mrf::MrfProblem &problem, const PlaneSet &set,
     KernelBreakdown bd;
     const std::size_t m = static_cast<std::size_t>(set.m);
     const simd::KernelTable &kern = simd::kernels();
-    auto bestOf = [&](auto &&fn, std::size_t units) {
+    auto medianOf = [&](auto &&fn, std::size_t units) {
         fn(); // warm-up, untimed
-        double best = 1e300;
+        std::vector<double> seconds;
         for (int rep = 0; rep < reps; ++rep) {
             auto start = std::chrono::steady_clock::now();
             fn();
             std::chrono::duration<double> dt =
                 std::chrono::steady_clock::now() - start;
-            best = std::min(best, dt.count());
+            seconds.push_back(dt.count());
         }
-        return best * 1e9 / static_cast<double>(units);
+        return median(seconds) * 1e9 / static_cast<double>(units);
     };
 
     // The RSU's energy-to-rate table at this temperature (what the
@@ -439,7 +464,7 @@ timeBreakdown(const mrf::MrfProblem &problem, const PlaneSet &set,
         gen.fillUniformOpenLow(u);
         for (double &r : rates)
             r = 0.05 + gen.nextDouble() * 4.0;
-        bd.expDrawNsPerDraw = bestOf(
+        bd.expDrawNsPerDraw = medianOf(
             [&] {
                 for (std::size_t off = 0; off < n; off += m)
                     kern.expDraw(u.data() + off, rates.data() + off,
@@ -452,7 +477,7 @@ timeBreakdown(const mrf::MrfProblem &problem, const PlaneSet &set,
     {
         std::vector<float> plane(
             static_cast<std::size_t>((problem.width() + 1) / 2) * m);
-        bd.energyPlaneNsPerLabel = bestOf(
+        bd.energyPlaneNsPerLabel = medianOf(
             [&] {
                 for (int color = 0; color < 2; ++color)
                     for (int y = 0; y < problem.height(); ++y)
@@ -477,13 +502,13 @@ timeBreakdown(const mrf::MrfProblem &problem, const PlaneSet &set,
                                          m);
         }
     };
-    bd.eToLambdaNsPerLabel = bestOf(convert_all, set.totalPixels * m);
+    bd.eToLambdaNsPerLabel = medianOf(convert_all, set.totalPixels * m);
 
     // race: the full TTF race rows over those rate planes.
     {
         core::RaceRowScratch scratch;
         std::vector<core::RaceOutcome> outcomes;
-        bd.raceNsPerPixel = bestOf(
+        bd.raceNsPerPixel = medianOf(
             [&] {
                 rng::Xoshiro256 gen(seed + 1);
                 for (const std::vector<double> &rates : rate_planes) {
@@ -541,9 +566,10 @@ timeBreakdown(const mrf::MrfProblem &problem, const PlaneSet &set,
                     nullptr);
             }
         };
-        const double full = bestOf(full_pass, set.totalPixels);
+        const double full = medianOf(full_pass, set.totalPixels);
         cached_pass(); // prime the slabs: every later pass draw-hits
-        const double draw_only = bestOf(cached_pass, set.totalPixels);
+        const double draw_only =
+            medianOf(cached_pass, set.totalPixels);
         bd.fastDrawNsPerPixel = draw_only;
         bd.fastClassifyNsPerPixel = std::max(0.0, full - draw_only);
     }
@@ -557,7 +583,8 @@ main(int argc, char **argv)
 {
     util::CliArgs args(argc, argv);
     // --quick: CI smoke shape — small grid, one rep.  Timings are
-    // noisy but every outputs_match check still runs in full.
+    // noisy but every outputs_match check still runs in full.  The
+    // full run reports the median of five repeats.
     const bool quick = args.getBool("quick", false);
     const int size =
         static_cast<int>(args.getInt("size", quick ? 64 : 192));
@@ -567,7 +594,7 @@ main(int argc, char **argv)
     const double t0 = args.getDouble("t0", 48.0);
     const double t_end = args.getDouble("tEnd", 0.8);
     const int reps =
-        static_cast<int>(args.getInt("reps", quick ? 1 : 3));
+        static_cast<int>(args.getInt("reps", quick ? 1 : 5));
     const std::uint64_t seed =
         static_cast<std::uint64_t>(args.getInt("seed", 1));
     const std::string out =
@@ -614,35 +641,46 @@ main(int argc, char **argv)
         /** Same sampler with raceMode=FastPath; empty when the
          *  sampler has no categorical fast path. */
         bench::SamplerFactory fastFactory;
+        /** Independent scalar reference whose labels both entry
+         *  points must reproduce; empty when the sampler's own
+         *  sample() is the reference. */
+        bench::SamplerFactory referenceFactory;
     };
     auto fastCfg = [](core::RsuConfig cfg) {
         cfg.raceMode = core::RaceMode::FastPath;
         return cfg;
     };
+    auto literal = [](const core::RsuConfig &cfg) -> bench::SamplerFactory {
+        return [cfg] {
+            return std::make_unique<testing_util::ReferenceRsuSampler>(
+                cfg);
+        };
+    };
     core::RsuConfig first_tie_cfg = core::RsuConfig::newDesign();
     first_tie_cfg.tieBreak = core::TieBreak::First;
+    const core::RsuConfig new_cfg = core::RsuConfig::newDesign();
     Entry entries[] = {
-        {"software-float", bench::softwareFactory(), &schedule, {}},
+        {"software-float", bench::softwareFactory(), &schedule, {}, {}},
         {"cdf-lut(mt19937)",
          [] {
              return std::make_unique<core::CdfLutSampler>(
                  std::make_unique<rng::Mt19937>(42), 64);
          },
          &schedule,
+         {},
          {}},
-        {"rsu-new-design",
-         bench::rsuFactory(core::RsuConfig::newDesign()), &schedule,
-         bench::rsuFactory(fastCfg(core::RsuConfig::newDesign()))},
-        {"rsu-new-design@anneal-tail",
-         bench::rsuFactory(core::RsuConfig::newDesign()),
-         &tail_schedule,
-         bench::rsuFactory(fastCfg(core::RsuConfig::newDesign()))},
+        {"rsu-new-design", bench::rsuFactory(new_cfg), &schedule,
+         bench::rsuFactory(fastCfg(new_cfg)), literal(new_cfg)},
+        {"rsu-new-design@anneal-tail", bench::rsuFactory(new_cfg),
+         &tail_schedule, bench::rsuFactory(fastCfg(new_cfg)),
+         literal(new_cfg)},
         // Fixed-priority tie arbiter (the cheap hardware choice): no
         // tie draws, so the race consumes exactly one draw per firing
         // label — the cheapest batched race mode.
         {"rsu-new-design-priority-tie",
          bench::rsuFactory(first_tie_cfg), &schedule,
-         bench::rsuFactory(fastCfg(first_tie_cfg))},
+         bench::rsuFactory(fastCfg(first_tie_cfg)),
+         literal(first_tie_cfg)},
     };
 
     std::FILE *f = std::fopen(out.c_str(), "w");
@@ -654,6 +692,7 @@ main(int argc, char **argv)
                  "  \"simd_backend\": \"%s\",\n"
                  "  \"grid\": [%d, %d],\n  \"labels\": %d,\n"
                  "  \"temperatures\": %d,\n  \"reps\": %d,\n"
+                 "  \"aggregate\": \"median\",\n"
                  "  \"seed\": %llu,\n  \"hardware_threads\": %d,\n"
                  "  \"race_batch_pixels\": %zu,\n"
                  "  \"samplers\": [",
@@ -666,8 +705,8 @@ main(int argc, char **argv)
     bool first = true;
     bool all_match = true;
     for (const Entry &e : entries) {
-        KernelTiming t =
-            timeKernel(e.factory, planes, *e.schedule, reps, seed);
+        KernelTiming t = timeKernel(e.factory, e.referenceFactory,
+                                    planes, *e.schedule, reps, seed);
         all_match = all_match && t.outputsMatch;
         double speedup = t.scalarNsPerSample / t.batchedNsPerSample;
         std::printf("  %-27s scalar %8.1f ns/sample   batched %8.1f "

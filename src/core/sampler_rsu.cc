@@ -158,34 +158,28 @@ int
 RsuSampler::sampleFast(std::span<const float> energies,
                        double temperature, int current, rng::Rng &gen)
 {
+    RETSIM_ASSERT(temperature > 0.0, "temperature must be positive");
+    ++totalSamples_;
+    refreshConversion(temperature);
+    // Table-driven: stages 1-5 collapse to one quantization pass and a
+    // categorical draw — no per-label rates, exponentials or argmin.
+    // RaceFastPath::supported() guarantees quantized energies and a
+    // non-float lambda here, so rateTable_ exists.
+    refreshRateTable(temperature);
+    bindFastPath();
     const std::size_t m = energies.size();
-    if (cfg_.timeQuant == TimeQuant::Binned) {
-        // Table-driven: stages 1-5 collapse to one quantization pass
-        // and a categorical draw — no per-label rates, exponentials
-        // or argmin.  RaceFastPath::supported() guarantees quantized
-        // energies and a non-float lambda here, so rateTable_ exists.
-        refreshRateTable(temperature);
-        bindFastPath();
-        quant_.resize(m);
-        const double top =
-            static_cast<double>(util::maxUnsigned(cfg_.energyBits));
-        const double e_min = simd::kernels().quantizeEnergies(
-            energies.data(), top, quant_.data(), m);
-        double u[4];
-        const unsigned draws = fast_->drawsPerPixel();
-        for (unsigned k = 0; k < draws; ++k)
-            u[k] = gen.nextDouble();
-        return commitOutcome(
-            fast_->raceBinned(quant_.data(),
-                              cfg_.decayRateScaling ? e_min : 0.0, m,
-                              u),
-            current);
-    }
-    // Float time: the rates are computed exactly as the literal path
-    // computes them (shared stage 1-3 code in sample()); one uniform
-    // inverts the categorical CDF over them.
+    quant_.resize(m);
+    const double top =
+        static_cast<double>(util::maxUnsigned(cfg_.energyBits));
+    const double e_min = simd::kernels().quantizeEnergies(
+        energies.data(), top, quant_.data(), m);
+    double u[4];
+    const unsigned draws = fast_->drawsPerPixel();
+    for (unsigned k = 0; k < draws; ++k)
+        u[k] = gen.nextDouble();
     return commitOutcome(
-        RaceFastPath::raceFloat(rates_.data(), m, gen.nextDouble()),
+        fast_->raceBinned(quant_.data(),
+                          cfg_.decayRateScaling ? e_min : 0.0, m, u),
         current);
 }
 
@@ -296,64 +290,14 @@ RsuSampler::sample(std::span<const float> energies, double temperature,
                    int current, rng::Rng &gen)
 {
     RETSIM_ASSERT(!energies.empty(), "no labels to sample");
-    RETSIM_ASSERT(temperature > 0.0, "temperature must be positive");
-    ++totalSamples_;
-
-    refreshConversion(temperature);
-
     if (useFastPath_ && cfg_.timeQuant == TimeQuant::Binned)
         return sampleFast(energies, temperature, current, gen);
-    bool use_lut = cfg_.lambdaQuant != LambdaQuant::Float &&
-                   !cfg_.floatEnergy;
-
-    const std::size_t m = energies.size();
-    const double lambda0 = cfg_.lambda0();
-
-    // Stage 1-2: energy computation output quantization.
-    // Stage 2b (new design): decay-rate scaling, E' = E - E_min.
-    // Stage 3: energy-to-lambda conversion.
-    double quantized_min = 0.0;
-    if (cfg_.decayRateScaling) {
-        if (cfg_.floatEnergy) {
-            double e_min = energies[0];
-            for (float e : energies)
-                e_min = std::min(e_min, static_cast<double>(e));
-            quantized_min = std::max(e_min, 0.0);
-        } else {
-            std::uint64_t e_min = util::maxUnsigned(cfg_.energyBits);
-            for (float e : energies)
-                e_min = std::min(
-                    e_min, util::quantizeUnsigned(e, cfg_.energyBits));
-            quantized_min = static_cast<double>(e_min);
-        }
-    }
-
-    rates_.resize(m);
-    for (std::size_t i = 0; i < m; ++i) {
-        double e = cfg_.floatEnergy
-                       ? std::max(static_cast<double>(energies[i]), 0.0)
-                       : static_cast<double>(util::quantizeUnsigned(
-                             energies[i], cfg_.energyBits));
-        double scaled = e - quantized_min;
-        if (cfg_.lambdaQuant == LambdaQuant::Float) {
-            rates_[i] = realLambda(scaled, temperature, cfg_) * lambda0;
-        } else if (use_lut) {
-            rates_[i] =
-                static_cast<double>(
-                    lut_->lookup(static_cast<std::uint64_t>(scaled))) *
-                lambda0;
-        } else {
-            rates_[i] = static_cast<double>(quantizeLambda(
-                            scaled, temperature, cfg_)) *
-                        lambda0;
-        }
-    }
-
-    if (useFastPath_) // float time: categorical draw over rates_
-        return sampleFast(energies, temperature, current, gen);
-
-    // Stages 4-5: sample the exponentials and select first-to-fire.
-    return commitOutcome(runTtfRace(rates_, cfg_, gen), current);
+    // Every other mode is the row kernel on a one-pixel row: same
+    // stages 1-5, same draws, same counters.
+    int chosen = current;
+    sampleRow(energies, static_cast<int>(energies.size()), temperature,
+              {&current, 1}, {&chosen, 1}, gen);
+    return chosen;
 }
 
 void
@@ -385,13 +329,12 @@ RsuSampler::sampleRow(std::span<const float> energies, int numLabels,
     if (!cfg_.floatEnergy) {
         // Quantized energies index the per-temperature rate table
         // directly, so stages 1-3 are one quantization pass per pixel
-        // (the scalar path quantizes twice: once scanning for E_min,
-        // once converting) fused with its table gather, feeding a
-        // row-sized rate plane that stays in L1.  The row race
-        // consumes the plane in pixel order, so a Random tie-break's
-        // extra draw still lands between its pixel's uniforms and the
-        // next pixel's — the quantization stage draws nothing and
-        // commutes with the races.
+        // fused with its table gather, feeding a row-sized rate plane
+        // that stays in L1.  The row race consumes the plane in pixel
+        // order, so a Random tie-break's extra draw still lands
+        // between its pixel's uniforms and the next pixel's — the
+        // quantization stage draws nothing and commutes with the
+        // races.
         refreshRateTable(temperature);
         const double *table = rateTable_.data();
         const auto &kern = simd::kernels();
@@ -413,8 +356,7 @@ RsuSampler::sampleRow(std::span<const float> energies, int numLabels,
                       rateTableAllPositive_);
     } else {
         // Float-energy escape: scaled energies are continuous, so the
-        // conversion stays per label; replicate the scalar arithmetic
-        // exactly.
+        // conversion stays per label (no table to index).
         for (std::size_t p = 0; p < n; ++p) {
             const float *e = energies.data() + p * m;
             double *r = rates_.data() + p * m;

@@ -39,16 +39,25 @@ class RsuSampler : public mrf::LabelSampler
   public:
     explicit RsuSampler(const RsuConfig &cfg);
 
+    /**
+     * One pixel evaluation.  The binned fast path has its own
+     * per-pixel entry (sampleFast: one quantization pass and a
+     * categorical table draw); every other mode — the literal TTF race
+     * and the float-time categorical draw — is sampleRow() on a
+     * one-pixel row, so the two entries share one implementation of
+     * stages 1-5.
+     */
     int sample(std::span<const float> energies, double temperature,
                int current, rng::Rng &gen) override;
 
     /**
-     * Batched row kernel: quantizes the whole energy plane once (the
-     * scalar path quantizes every energy twice), resolves decay rates
-     * through a per-temperature energy->rate table derived from the
-     * shared LambdaLut cache, and races all pixels through
-     * runTtfRaceRow().  Bit-identical outcomes and RNG consumption to
-     * the scalar loop.
+     * Row kernel, and the only implementation of stages 1-5 outside
+     * the binned fast path: quantizes each pixel's energies once,
+     * resolves decay rates through a per-temperature energy->rate
+     * table derived from the shared LambdaLut cache (per label under
+     * the float-energy escape), and races all pixels through
+     * runTtfRaceRow().  Outcomes and RNG consumption equal the
+     * per-pixel sample() loop's.
      */
     void sampleRow(std::span<const float> energies, int numLabels,
                    double temperature, std::span<const int> current,
@@ -130,16 +139,14 @@ class RsuSampler : public mrf::LabelSampler
     std::uint64_t totalSamples() const { return totalSamples_; }
 
   private:
-    /** Lambda code (or real rate multiplier) for one scaled energy. */
-    double rateFor(double scaled_energy, double temperature);
-
     /** Swap in the conversion state for @p temperature (LUT via the
-     *  process-wide cache); counts rebuilds like the scalar path. */
+     *  process-wide cache); counts one rebuild per temperature change. */
     void refreshConversion(double temperature);
 
     /** Lazily (re)build the quantized-energy -> absolute-rate table
-     *  the batched kernel indexes; only exists when energies are
-     *  quantized (the index domain is then 2^Energy_bits). */
+     *  the row kernel and the fast path index; only exists when
+     *  energies are quantized (the index domain is then
+     *  2^Energy_bits). */
     void refreshRateTable(double temperature);
 
     /** Point the fast path's rate alphabet at the current rateTable_
@@ -151,9 +158,9 @@ class RsuSampler : public mrf::LabelSampler
      *  current label. */
     int commitOutcome(const RaceOutcome &oc, int current);
 
-    /** Fast-path twins of sample()/sampleRow() (binned: table draw
-     *  over the quantized energies; float time: CDF inversion over
-     *  the literal rate plane). */
+    /** Fast-path twins of sample()/sampleRow().  sampleFast is binned
+     *  only (table draw over the quantized energies); sampleRowFast
+     *  also serves float time (CDF inversion over the rate plane). */
     int sampleFast(std::span<const float> energies, double temperature,
                    int current, rng::Rng &gen);
     void sampleRowFast(std::span<const float> energies, std::size_t n,
@@ -164,9 +171,9 @@ class RsuSampler : public mrf::LabelSampler
     RsuConfig cfg_;
     double cachedTemperature_ = -1.0;
     std::shared_ptr<const LambdaLut> lut_;
-    std::vector<double> rates_; // scratch
+    std::vector<double> rates_; ///< row rate plane scratch
 
-    // ---- batched-path scratch (row kernel only) ----------------------
+    // ---- row-kernel scratch ------------------------------------------
     double rateTableTemperature_ = -1.0;
     std::vector<double> rateTable_;      ///< quantized energy -> rate
     bool rateTableAllPositive_ = false;  ///< no reachable rate is zero

@@ -1,17 +1,23 @@
 /**
  * @file
  * Tests for the batched row-sampling path: bit-exactness of
- * sampleRow() against the scalar sample() loop (including identical
- * RNG consumption) for all three samplers across quantization modes,
- * truncation policies and tie-break modes; the process-wide LambdaLut
- * cache; the striped solver's counter fold-back (mergeStats); and
- * byte-identity of the batched CheckerboardGibbsSolver against a
- * reference reimplementation of the pre-batching scalar solver.
+ * sampleRow() and the per-pixel sample() loop against a scalar
+ * reference (including identical RNG consumption) for all three
+ * samplers across quantization modes, truncation policies and
+ * tie-break modes; the process-wide LambdaLut cache; the striped
+ * solver's counter fold-back (mergeStats); and byte-identity of the
+ * batched CheckerboardGibbsSolver and the raster GibbsSolver against
+ * reference reimplementations of the scalar solvers.
+ *
+ * RsuSampler::sample() is itself a one-pixel sampleRow() outside the
+ * binned fast path, so every RSU case checks against the independent
+ * literal stage 1-5 arithmetic of ReferenceRsuSampler instead.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "apps/denoising.hh"
@@ -21,13 +27,16 @@
 #include "core/sampler_software.hh"
 #include "img/synthetic.hh"
 #include "mrf/checkerboard.hh"
+#include "mrf/gibbs.hh"
 #include "mrf/problem.hh"
 #include "rng/rng.hh"
+#include "rsu_reference.hh"
 
 namespace {
 
 using namespace retsim;
 using namespace retsim::core;
+using testing_util::ReferenceRsuSampler;
 
 /** Pixel-major energy plane with varied magnitudes, exact ties and
  *  negative entries (which the RSU quantizer clamps to zero). */
@@ -56,14 +65,16 @@ energyPlane(int pixels, int m, std::uint64_t seed)
 }
 
 /**
- * Assert sampleRow() == the scalar sample() loop on identical fresh
- * sampler instances: same labels, same RNG consumption (the next raw
- * draw after the batch must agree).
+ * Assert that the sampler's per-pixel sample() loop and its sampleRow()
+ * both reproduce the scalar sample() loop of a reference sampler,
+ * each on a fresh instance: same labels, same RNG consumption (the
+ * next raw draw after the batch must agree) and the same
+ * total/no-sample/tie counters.
  */
-template <typename MakeSampler>
+template <typename MakeReference, typename MakeSampler>
 void
-expectRowMatchesScalar(MakeSampler make, int m, double temperature,
-                       std::uint64_t seed)
+expectRowMatchesScalar(MakeReference make_reference, MakeSampler make,
+                       int m, double temperature, std::uint64_t seed)
 {
     constexpr int kPixels = 57; // odd, to catch size bookkeeping
     auto plane = energyPlane(kPixels, m, seed);
@@ -71,15 +82,26 @@ expectRowMatchesScalar(MakeSampler make, int m, double temperature,
     for (int i = 0; i < kPixels; ++i)
         current[i] = (i * 5) % m;
 
+    auto scalar_loop = [&](mrf::LabelSampler &s, rng::Rng &gen) {
+        std::vector<int> out(kPixels);
+        for (int i = 0; i < kPixels; ++i)
+            out[i] = s.sample(
+                std::span<const float>(
+                    plane.data() + static_cast<std::size_t>(i) * m,
+                    static_cast<std::size_t>(m)),
+                temperature, current[i], gen);
+        return out;
+    };
+
+    auto reference = make_reference();
+    rng::Xoshiro256 ref_gen(seed ^ 0x5eed);
+    const std::vector<int> ref_out = scalar_loop(*reference, ref_gen);
+    const std::uint64_t ref_next = ref_gen.next64();
+
     auto scalar_sampler = make();
     rng::Xoshiro256 scalar_gen(seed ^ 0x5eed);
-    std::vector<int> scalar_out(kPixels);
-    for (int i = 0; i < kPixels; ++i)
-        scalar_out[i] = scalar_sampler->sample(
-            std::span<const float>(plane.data() +
-                                       static_cast<std::size_t>(i) * m,
-                                   static_cast<std::size_t>(m)),
-            temperature, current[i], scalar_gen);
+    const std::vector<int> scalar_out =
+        scalar_loop(*scalar_sampler, scalar_gen);
 
     auto batched_sampler = make();
     rng::Xoshiro256 batched_gen(seed ^ 0x5eed);
@@ -87,41 +109,59 @@ expectRowMatchesScalar(MakeSampler make, int m, double temperature,
     batched_sampler->sampleRow(plane, m, temperature, current,
                                batched_out, batched_gen);
 
-    EXPECT_EQ(scalar_out, batched_out)
-        << "label divergence for " << scalar_sampler->name() << " at T="
-        << temperature;
-    EXPECT_EQ(scalar_gen.next64(), batched_gen.next64())
-        << "RNG consumption divergence for " << scalar_sampler->name()
-        << " at T=" << temperature;
+    const std::string where = scalar_sampler->name() + " at T=" +
+                              std::to_string(temperature);
+    EXPECT_EQ(ref_out, scalar_out) << "sample() labels, " << where;
+    EXPECT_EQ(ref_out, batched_out) << "sampleRow() labels, " << where;
+    EXPECT_EQ(ref_next, scalar_gen.next64())
+        << "sample() RNG consumption, " << where;
+    EXPECT_EQ(ref_next, batched_gen.next64())
+        << "sampleRow() RNG consumption, " << where;
+    for (const mrf::LabelSampler *s :
+         {scalar_sampler.get(), batched_sampler.get()}) {
+        const mrf::SamplerStats want = reference->stats(), got = s->stats();
+        EXPECT_EQ(want.samples, got.samples) << where;
+        EXPECT_EQ(want.noSample, got.noSample) << where;
+        EXPECT_EQ(want.ties, got.ties) << where;
+    }
 }
 
-template <typename MakeSampler>
+template <typename MakeReference, typename MakeSampler>
 void
-expectRowMatchesScalarAcrossTemps(MakeSampler make, int m)
+expectRowMatchesScalarAcrossTemps(MakeReference make_reference,
+                                  MakeSampler make, int m)
 {
     for (double t : {48.0, 6.0, 1.7, 0.6})
         for (std::uint64_t seed : {11ull, 202ull, 3003ull})
-            expectRowMatchesScalar(make, m, t, seed);
+            expectRowMatchesScalar(make_reference, make, m, t, seed);
+}
+
+/** An RsuSampler against the literal reference of the same config. */
+void
+expectRsuMatchesReference(const RsuConfig &cfg, int m)
+{
+    expectRowMatchesScalarAcrossTemps(
+        [cfg] { return std::make_unique<ReferenceRsuSampler>(cfg); },
+        [cfg] { return std::make_unique<RsuSampler>(cfg); }, m);
 }
 
 // ------------------------------------------------------ bit-exactness
 
 TEST(BatchedSampler, SoftwareMatchesScalar)
 {
+    auto make = [] { return std::make_unique<SoftwareSampler>(); };
     for (int m : {2, 16, 31})
-        expectRowMatchesScalarAcrossTemps(
-            [] { return std::make_unique<SoftwareSampler>(); }, m);
+        expectRowMatchesScalarAcrossTemps(make, make, m);
 }
 
 TEST(BatchedSampler, CdfLutMatchesScalar)
 {
+    auto make = [] {
+        return std::make_unique<CdfLutSampler>(
+            std::make_unique<rng::Mt19937>(99), 64);
+    };
     for (int m : {2, 16, 31})
-        expectRowMatchesScalarAcrossTemps(
-            [] {
-                return std::make_unique<CdfLutSampler>(
-                    std::make_unique<rng::Mt19937>(99), 64);
-            },
-            m);
+        expectRowMatchesScalarAcrossTemps(make, make, m);
 }
 
 TEST(BatchedSampler, RsuNewDesignMatchesScalar)
@@ -129,23 +169,13 @@ TEST(BatchedSampler, RsuNewDesignMatchesScalar)
     // Binned time + random tie-break: the order-preserving per-pixel
     // race path.
     for (int m : {2, 16})
-        expectRowMatchesScalarAcrossTemps(
-            [] {
-                return std::make_unique<RsuSampler>(
-                    RsuConfig::newDesign());
-            },
-            m);
+        expectRsuMatchesReference(RsuConfig::newDesign(), m);
 }
 
 TEST(BatchedSampler, RsuPreviousDesignMatchesScalar)
 {
     // Integer lambda, no scaling, no cut-off, tight truncation.
-    expectRowMatchesScalarAcrossTemps(
-        [] {
-            return std::make_unique<RsuSampler>(
-                RsuConfig::previousDesign());
-        },
-        16);
+    expectRsuMatchesReference(RsuConfig::previousDesign(), 16);
 }
 
 TEST(BatchedSampler, RsuDeterministicTieBreaksMatchScalar)
@@ -154,8 +184,7 @@ TEST(BatchedSampler, RsuDeterministicTieBreaksMatchScalar)
     for (TieBreak tb : {TieBreak::First, TieBreak::Last}) {
         RsuConfig cfg = RsuConfig::newDesign();
         cfg.tieBreak = tb;
-        expectRowMatchesScalarAcrossTemps(
-            [cfg] { return std::make_unique<RsuSampler>(cfg); }, 16);
+        expectRsuMatchesReference(cfg, 16);
     }
 }
 
@@ -163,70 +192,88 @@ TEST(BatchedSampler, RsuClampTruncationMatchesScalar)
 {
     RsuConfig cfg = RsuConfig::newDesign();
     cfg.truncationPolicy = TruncationPolicy::ClampToLastBin;
-    expectRowMatchesScalarAcrossTemps(
-        [cfg] { return std::make_unique<RsuSampler>(cfg); }, 16);
+    expectRsuMatchesReference(cfg, 16);
 
     cfg.tieBreak = TieBreak::First; // clamp + fused race path
-    expectRowMatchesScalarAcrossTemps(
-        [cfg] { return std::make_unique<RsuSampler>(cfg); }, 16);
+    expectRsuMatchesReference(cfg, 16);
 }
 
-TEST(BatchedSampler, RsuFloatEscapesMatchScalar)
+/** The float escapes of the paper's precision methodology. */
+std::vector<RsuConfig>
+floatEscapeConfigs()
 {
+    std::vector<RsuConfig> cfgs;
     // Float time (continuous race, bulk path)...
     RsuConfig cfg = RsuConfig::newDesign();
     cfg.timeQuant = TimeQuant::Float;
-    expectRowMatchesScalarAcrossTemps(
-        [cfg] { return std::make_unique<RsuSampler>(cfg); }, 16);
+    cfgs.push_back(cfg);
 
     // ...float lambda over quantized energies (tabled realLambda)...
     cfg = RsuConfig::newDesign();
     cfg.lambdaQuant = LambdaQuant::Float;
-    expectRowMatchesScalarAcrossTemps(
-        [cfg] { return std::make_unique<RsuSampler>(cfg); }, 16);
+    cfgs.push_back(cfg);
 
     // ...float energies (per-label conversion fallback)...
     cfg = RsuConfig::newDesign();
     cfg.floatEnergy = true;
-    expectRowMatchesScalarAcrossTemps(
-        [cfg] { return std::make_unique<RsuSampler>(cfg); }, 16);
+    cfgs.push_back(cfg);
 
     // ...and the all-float methodology baseline.
-    cfg = RsuConfig::newDesign();
-    cfg.floatEnergy = true;
     cfg.lambdaQuant = LambdaQuant::Float;
     cfg.timeQuant = TimeQuant::Float;
-    expectRowMatchesScalarAcrossTemps(
-        [cfg] { return std::make_unique<RsuSampler>(cfg); }, 16);
+    cfgs.push_back(cfg);
+    return cfgs;
+}
+
+TEST(BatchedSampler, RsuFloatEscapesMatchScalar)
+{
+    for (const RsuConfig &cfg : floatEscapeConfigs())
+        expectRsuMatchesReference(cfg, 16);
+
+    // Float time through the categorical fast path: one CDF inversion
+    // over the same rates.
+    RsuConfig cfg = RsuConfig::newDesign();
+    cfg.timeQuant = TimeQuant::Float;
+    cfg.raceMode = RaceMode::FastPath;
+    expectRsuMatchesReference(cfg, 16);
 }
 
 TEST(BatchedSampler, RsuCountersMatchScalar)
 {
-    // The batched path must account samples, no-sample events and
-    // ties exactly like the scalar loop.
+    // Both entries must account samples, no-sample events, ties and
+    // conversion rebuilds exactly like the literal reference, across a
+    // temperature change.
     const int m = 16;
     auto plane = energyPlane(200, m, 77);
     std::vector<int> current(200, 1);
     std::vector<int> out(200);
+    auto pixel = [&](int i) {
+        return std::span<const float>(
+            plane.data() + static_cast<std::size_t>(i) * m,
+            static_cast<std::size_t>(m));
+    };
 
+    ReferenceRsuSampler reference(RsuConfig::newDesign());
     RsuSampler scalar(RsuConfig::newDesign());
-    rng::Xoshiro256 g1(123);
-    for (int i = 0; i < 200; ++i)
-        scalar.sample(
-            std::span<const float>(plane.data() +
-                                       static_cast<std::size_t>(i) * m,
-                                   static_cast<std::size_t>(m)),
-            0.8, current[i], g1);
-
     RsuSampler batched(RsuConfig::newDesign());
-    rng::Xoshiro256 g2(123);
-    batched.sampleRow(plane, m, 0.8, current, out, g2);
+    rng::Xoshiro256 g0(123), g1(123), g2(123);
+    for (double t : {0.8, 0.8, 3.0}) {
+        for (int i = 0; i < 200; ++i) {
+            reference.sample(pixel(i), t, current[i], g0);
+            scalar.sample(pixel(i), t, current[i], g1);
+        }
+        batched.sampleRow(plane, m, t, current, out, g2);
+    }
+    ASSERT_GT(reference.stats().noSample + reference.stats().ties, 0u);
 
-    EXPECT_EQ(scalar.totalSamples(), batched.totalSamples());
-    EXPECT_EQ(scalar.noSampleEvents(), batched.noSampleEvents());
-    EXPECT_EQ(scalar.tieEvents(), batched.tieEvents());
-    EXPECT_EQ(scalar.conversionRebuilds(),
-              batched.conversionRebuilds());
+    for (const RsuSampler *s : {&scalar, &batched}) {
+        EXPECT_EQ(reference.stats().samples, s->totalSamples());
+        EXPECT_EQ(reference.stats().noSample, s->noSampleEvents());
+        EXPECT_EQ(reference.stats().ties, s->tieEvents());
+        EXPECT_EQ(reference.conversionRebuilds(),
+                  s->conversionRebuilds());
+    }
+    EXPECT_EQ(g0.next64(), g1.next64());
 }
 
 // ---------------------------------------------------------- LUT cache
@@ -303,9 +350,10 @@ annealConfig(int sweeps, std::uint64_t seed)
 /** The pre-batching serial solver, reimplemented literally: one RNG
  *  stream, pixel-by-pixel conditionalEnergies() + sample().  Note the
  *  reproducibility contract this checks is "matches retsim vecmath":
- *  sample() draws its exponentials through the shared slog/vlog core,
- *  so this reference is byte-comparable to the batched path under any
- *  SIMD backend (vecmath_test.cc covers the backend sweep). */
+ *  the reference samplers draw their exponentials through the shared
+ *  slog/vlog core, so this reference is byte-comparable to the batched
+ *  path under any SIMD backend (vecmath_test.cc covers the backend
+ *  sweep). */
 img::LabelMap
 referenceSerialSolve(const mrf::MrfProblem &problem,
                      mrf::LabelSampler &sampler,
@@ -402,7 +450,7 @@ TEST(BatchedSolver, SerialByteIdenticalToScalarReference)
                       .data());
     }
     {
-        RsuSampler ref(RsuConfig::newDesign());
+        ReferenceRsuSampler ref(RsuConfig::newDesign());
         RsuSampler batched(RsuConfig::newDesign());
         EXPECT_EQ(referenceSerialSolve(p, ref, cfg).data(),
                   mrf::CheckerboardGibbsSolver(cfg)
@@ -434,13 +482,53 @@ TEST(BatchedSolver, StripedByteIdenticalToScalarReference)
                       .data())
             << "threads=" << threads;
 
-        RsuSampler rsu_ref(RsuConfig::newDesign());
+        ReferenceRsuSampler rsu_ref(RsuConfig::newDesign());
         RsuSampler rsu_batched(RsuConfig::newDesign());
         EXPECT_EQ(referenceStripedSolve(p, rsu_ref, cfg, 4).data(),
                   mrf::CheckerboardGibbsSolver(cfg)
                       .run(p, rsu_batched)
                       .data())
             << "threads=" << threads;
+    }
+}
+
+TEST(BatchedSolver, RasterGibbsLiteralRaceMatchesReference)
+{
+    // The raster solver samples pixel by pixel through sample(), which
+    // for the literal race is the one-pixel row kernel; the literal
+    // reference must produce the same labels, trace and counters.
+    mrf::MrfProblem p = denoisingProblem(19, 29);
+    std::vector<RsuConfig> cfgs = floatEscapeConfigs();
+    cfgs.push_back(RsuConfig::newDesign());
+    cfgs.push_back(RsuConfig::previousDesign());
+    RsuConfig first_tie = RsuConfig::newDesign();
+    first_tie.tieBreak = TieBreak::First;
+    cfgs.push_back(first_tie);
+
+    for (bool random_scan : {false, true}) {
+        mrf::SolverConfig cfg = annealConfig(5, 41);
+        cfg.randomScan = random_scan;
+        const mrf::GibbsSolver solver(cfg);
+        for (const RsuConfig &rsu_cfg : cfgs) {
+            ReferenceRsuSampler ref(rsu_cfg);
+            RsuSampler rsu(rsu_cfg);
+            mrf::SolverTrace ref_trace, rsu_trace;
+            const img::LabelMap ref_labels =
+                solver.run(p, ref, &ref_trace);
+            const img::LabelMap rsu_labels =
+                solver.run(p, rsu, &rsu_trace);
+            SCOPED_TRACE(rsu.name() +
+                         (random_scan ? " random scan" : " raster"));
+            EXPECT_EQ(ref_labels.data(), rsu_labels.data());
+            EXPECT_EQ(ref_trace.energyPerSweep, rsu_trace.energyPerSweep);
+            EXPECT_EQ(ref_trace.temperaturePerSweep,
+                      rsu_trace.temperaturePerSweep);
+            EXPECT_EQ(ref_trace.pixelUpdates, rsu_trace.pixelUpdates);
+            EXPECT_EQ(ref_trace.labelChanges, rsu_trace.labelChanges);
+            EXPECT_EQ(ref.stats().noSample, rsu.noSampleEvents());
+            EXPECT_EQ(ref.stats().ties, rsu.tieEvents());
+            EXPECT_EQ(ref.conversionRebuilds(), rsu.conversionRebuilds());
+        }
     }
 }
 

@@ -8,6 +8,7 @@
  * every runnable SIMD backend.
  */
 
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -621,6 +622,55 @@ TEST(KillAndResume, RsuSamplerStateSurvivesResume)
     ReplayRun resumed = runWithSink(Mode::Checkerboard, cfg2, problem,
                                     s2, kill_at);
     EXPECT_EQ(resumed.finalBytes, whole.finalBytes);
+}
+
+TEST(KillAndResume, RasterGibbsRsuLiteralRaceIsBitIdentical)
+{
+    // The raster solver drives the literal race through sample(), the
+    // one-pixel row kernel, so its snapshots carry the rate-table
+    // temperature (sampler-state word 5) as well as the LUT's.
+    const int sweeps = 8, kill_at = 3;
+    const mrf::MrfProblem problem = makeProblem();
+    const core::RsuConfig rsu_cfg = core::RsuConfig::newDesign();
+
+    core::RsuSampler s1(rsu_cfg);
+    ReplayRun whole = runWithSink(
+        Mode::Gibbs, replayConfig(Mode::Gibbs, sweeps), problem, s1,
+        kill_at);
+    ASSERT_TRUE(whole.haveMid);
+    ASSERT_FALSE(whole.finalBytes.empty());
+    const std::vector<std::uint64_t> &words = whole.mid.samplerState;
+    ASSERT_EQ(words.size(), 6u);
+    const double kill_t =
+        replayConfig(Mode::Gibbs, sweeps).annealing.temperature(
+            kill_at - 1);
+    EXPECT_EQ(std::bit_cast<double>(words[4]), kill_t);
+    EXPECT_EQ(std::bit_cast<double>(words[5]), kill_t);
+
+    // loadState rebuilds both tables for the snapshot's temperatures
+    // but must report exactly the snapshot's rebuild count, not the
+    // count plus its own warm-up rebuilds.
+    core::RsuSampler probe(rsu_cfg);
+    ASSERT_TRUE(probe.loadState(words));
+    EXPECT_EQ(probe.conversionRebuilds(), words[3]);
+    EXPECT_EQ(probe.conversionRebuilds(),
+              static_cast<std::uint64_t>(kill_at));
+    std::vector<std::uint64_t> resaved;
+    probe.saveState(resaved);
+    EXPECT_EQ(resaved, words);
+
+    auto restored = std::make_shared<mrf::SolverCheckpoint>();
+    std::string error;
+    ASSERT_TRUE(mrf::SolverCheckpoint::deserialize(
+        whole.mid.serialize(), restored.get(), &error))
+        << error;
+    mrf::SolverConfig cfg2 = replayConfig(Mode::Gibbs, sweeps);
+    cfg2.resume = std::move(restored);
+    core::RsuSampler s2(rsu_cfg);
+    ReplayRun resumed =
+        runWithSink(Mode::Gibbs, cfg2, problem, s2, kill_at);
+    EXPECT_EQ(resumed.finalBytes, whole.finalBytes);
+    EXPECT_EQ(s2.conversionRebuilds(), s1.conversionRebuilds());
 }
 
 TEST(KillAndResume, ResumingACompletedRunReturnsItsLabels)
