@@ -13,24 +13,28 @@
  * with U units finishes a half-sweep in ceil(pixels/2/U) * M cycles —
  * the number hw::PerfModel uses.
  *
- * With SolverConfig::threads > 1 (or stripes > 0) each color phase is
- * partitioned into contiguous row stripes executed concurrently on a
- * thread pool.  Every stripe draws from its own RNG stream derived
- * from (seed, sweep, color, stripe) and samples through its own
- * LabelSampler::clone(), so the result is bit-deterministic for a
- * fixed seed and stripe count, independent of thread count and OS
- * scheduling.  threads == 1 && stripes == 0 runs the historical
- * single-stream serial path.
+ * The schedule runs on the chromatic phase engine
+ * (checkerboard_detail.hh), the same code the sharded solver's ranks
+ * run.  With SolverConfig::threads != 1 (or stripes > 0) each color
+ * phase is partitioned into contiguous row stripes executed
+ * concurrently on a thread pool.  Every stripe draws from its own RNG
+ * stream derived from (seed, sweep, color, stripe) and samples
+ * through its own LabelSampler::clone(), so the result is
+ * bit-deterministic for a fixed seed and stripe count, independent of
+ * thread count and OS scheduling; the clones' instrumentation
+ * counters are folded back into the caller's sampler
+ * (LabelSampler::mergeStats) when the run finishes.
+ * threads == 1 && stripes == 0 runs the historical single-stream
+ * schedule: the same engine with one executor over every row,
+ * sampling through the caller's sampler on the solver's persistent
+ * generator.
  *
- * Both paths sample through the batched row kernel: each color-phase
- * row's conditionals are produced into a per-executor arena
- * (MrfProblem::conditionalEnergiesRow) and handed to
+ * Both schedules sample through the batched row kernel: each
+ * color-phase row's conditionals are produced into a per-executor
+ * arena (MrfProblem::conditionalEnergiesRow) and handed to
  * LabelSampler::sampleRow in one call.  Batched kernels honor the
- * scalar RNG draw order, so serial and striped outputs are
- * byte-identical to the per-pixel implementation they replaced; the
- * stripe clones' instrumentation counters are folded back into the
- * caller's sampler (LabelSampler::mergeStats) when a striped run
- * finishes.
+ * scalar RNG draw order, so both outputs are byte-identical to the
+ * per-pixel implementation they replaced.
  */
 
 #ifndef RETSIM_MRF_CHECKERBOARD_HH

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "mrf/checkpoint.hh"
 #include "mrf/energy_cache.hh"
+#include "mrf/run_frame.hh"
 #include "mrf/solver_telemetry.hh"
 #include "obs/metrics.hh"
 #include "util/logging.hh"
@@ -29,81 +29,32 @@ img::LabelMap
 GibbsSolver::run(const MrfProblem &problem, LabelSampler &sampler,
                  img::LabelMap &labels, SolverTrace *caller_trace) const
 {
-    RETSIM_ASSERT(labels.width() == problem.width() &&
-                      labels.height() == problem.height(),
-                  "label map size mismatch");
+    detail::RunFrame frame("gibbs", config_, problem, sampler, labels,
+                           caller_trace, /*stripes=*/0);
+    SolverTrace *trace = frame.trace;
+    rng::Xoshiro256 &gen = frame.gen;
     const int m = problem.numLabels();
-    rng::Xoshiro256 gen(config_.seed);
-    const bool checkpointing = config_.checkpointEvery > 0;
-    if (checkpointing && !config_.checkpointSink &&
-        config_.checkpointPath.empty())
-        RETSIM_FATAL("checkpointEvery is set but neither "
-                     "checkpointPath nor checkpointSink is configured");
-
-    // Telemetry wants the per-sweep counters even when the caller
-    // passed no trace; a run-local trace stands in.  Checkpoints carry
-    // the trace too, so checkpointing also forces one — that keeps the
-    // final snapshot byte-identical whether or not the caller asked
-    // for a trace.  With none of the three the counting stays compiled
-    // out of the pixel loop exactly as before.
-    detail::SweepTelemetry telemetry(problem, sampler, "gibbs");
-    SolverTrace local_trace;
-    SolverTrace *trace =
-        caller_trace ? caller_trace
-                     : ((telemetry.active() || checkpointing)
-                            ? &local_trace
-                            : nullptr);
 
     std::vector<float> energies(m);
     const std::size_t pixels =
         static_cast<std::size_t>(problem.width()) * problem.height();
     // Filled lazily on the first random-scan sweep, then reshuffled in
     // place; pixel ids must narrow to 32 bits without loss.
-    std::vector<std::uint32_t> order;
+    std::vector<std::uint32_t> &order = frame.scanOrder;
     if (config_.randomScan) {
         RETSIM_ASSERT(pixels <= UINT32_MAX,
                       "random-scan order buffer limited to 2^32 pixels");
     }
 
-    const SolverCheckpoint *resume = config_.resume.get();
-    int start_sweep = 0;
-    if (resume) {
-        detail::validateResume(*resume, "gibbs", config_,
-                               problem.width(), problem.height(), m,
-                               sampler.name(), /*stripes=*/0);
-        labels = resume->labels;
-        if (!gen.loadState(resume->solverGen))
-            RETSIM_FATAL("resume snapshot: solver generator state "
-                         "does not fit ", gen.name());
-        if (!sampler.loadState(resume->samplerState))
-            RETSIM_FATAL("resume snapshot: sampler state does not fit "
-                         "sampler '", sampler.name(), "'");
-        order = resume->scanOrder;
-        if (trace)
-            *trace = resume->trace;
-        start_sweep = resume->sweepsDone;
-    } else if (config_.randomInit) {
-        for (int &l : labels.data())
-            l = static_cast<int>(gen.nextBounded(m));
-    } else {
-        for (int l : labels.data()) {
-            RETSIM_ASSERT(l >= 0 && l < m,
-                          "initial label ", l, " out of range");
-        }
-    }
-
-    if (trace)
-        telemetry.setTraceBaseline(trace->pixelUpdates,
-                                   trace->labelChanges);
     const std::uint64_t start_updates = trace ? trace->pixelUpdates : 0;
     const std::uint64_t start_changes = trace ? trace->labelChanges : 0;
 
     // Flip-aware energy-plane cache (see energy_cache.hh): serve each
     // pixel's conditional energies from the sweep-persistent plane
     // unless a neighborhood label write dirtied it.  Byte-identical
-    // to the uncached path; m > 256 falls back (no shadow labels).
+    // to the uncached path.
     std::unique_ptr<EnergyPlaneCache> cache;
-    if (config_.energyCache && m <= 256)
+    if (detail::usesEnergyCache(config_, m))
         cache = std::make_unique<EnergyPlaneCache>(
             problem.width(), problem.height(), m, /*phases=*/1);
 
@@ -133,7 +84,7 @@ GibbsSolver::run(const MrfProblem &problem, LabelSampler &sampler,
         }
     };
 
-    for (int s = start_sweep; s < config_.annealing.sweeps; ++s) {
+    for (int s = frame.startSweep; s < config_.annealing.sweeps; ++s) {
         double temperature = config_.annealing.temperature(s);
         if (config_.randomScan) {
             if (order.empty()) {
@@ -156,61 +107,23 @@ GibbsSolver::run(const MrfProblem &problem, LabelSampler &sampler,
                 for (int x = 0; x < problem.width(); ++x)
                     update_pixel(x, y, temperature);
         }
-        if (trace) {
-            trace->energyPerSweep.push_back(
-                problem.totalEnergy(labels));
-            trace->temperaturePerSweep.push_back(temperature);
-        }
-        if (telemetry.active()) {
-            telemetry.recordSweep(s, temperature,
-                                  trace->energyPerSweep.back(),
-                                  trace->pixelUpdates,
-                                  trace->labelChanges,
-                                  sampler.stats(),
-                                  cache ? &cache->stats() : nullptr);
-        }
-        if (config_.sweepObserver)
-            config_.sweepObserver(s, temperature, labels);
-        if (checkpointing && detail::shouldCheckpoint(config_, s + 1)) {
-            SolverCheckpoint cp;
-            cp.solverKind = "gibbs";
-            cp.samplerName = sampler.name();
-            cp.seed = config_.seed;
-            cp.t0 = config_.annealing.t0;
-            cp.tEnd = config_.annealing.tEnd;
-            cp.sweepsTotal = config_.annealing.sweeps;
-            cp.width = problem.width();
-            cp.height = problem.height();
-            cp.numLabels = m;
-            cp.stripes = 0;
-            cp.randomScan = config_.randomScan;
-            cp.sweepsDone = s + 1;
-            cp.labels = labels;
-            gen.saveState(cp.solverGen);
-            cp.scanOrder = order;
-            sampler.saveState(cp.samplerState);
-            if (trace)
-                cp.trace = *trace;
-            detail::emitCheckpoint(config_, cp);
-        }
+        frame.endSweep(s, temperature,
+                       trace ? problem.totalEnergy(labels) : 0.0,
+                       sampler.stats(),
+                       cache ? &cache->stats() : nullptr);
+        if (detail::shouldCheckpoint(config_, s + 1))
+            frame.emitCheckpoint(s + 1);
     }
 
-    {
+    frame.finish();
+    if (trace) {
         const auto &ids = detail::SolverMetricIds::get();
         obs::Registry &reg = obs::Registry::global();
-        reg.add(ids.runs, 1);
-        reg.add(ids.sweeps,
-                static_cast<std::uint64_t>(config_.annealing.sweeps -
-                                           start_sweep));
-        if (trace) {
-            reg.add(ids.pixelUpdates,
-                    trace->pixelUpdates - start_updates);
-            reg.add(ids.labelChanges,
-                    trace->labelChanges - start_changes);
-        }
-        if (cache)
-            detail::foldCacheStats(cache->stats());
+        reg.add(ids.pixelUpdates, trace->pixelUpdates - start_updates);
+        reg.add(ids.labelChanges, trace->labelChanges - start_changes);
     }
+    if (cache)
+        detail::foldCacheStats(cache->stats());
     return labels;
 }
 

@@ -71,8 +71,10 @@ struct SolverConfig
      * Worker-thread count for solvers with a chromatic schedule
      * (CheckerboardGibbsSolver).  1 = the serial reference path, 0 =
      * one thread per hardware core, N > 1 = exactly N concurrent
-     * executors.  The raster/random-scan GibbsSolver is sequentially
-     * dependent pixel to pixel and ignores this knob.
+     * executors.  Sharded runs (shard::ShardedCheckerboardSolver)
+     * apply it per rank, capped at the rank's stripe count.  The
+     * raster/random-scan GibbsSolver is sequentially dependent pixel
+     * to pixel and ignores this knob (it must still be >= 0).
      */
     int threads = 1;
     /**

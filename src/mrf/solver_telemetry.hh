@@ -65,15 +65,24 @@ struct SolverMetricIds
     }
 };
 
-/** Fold a finished run's energy-cache traffic into the registry. */
+/**
+ * Fold a finished run's energy-cache traffic into the registry.  With
+ * @p perRun = false only the traffic counters (hits, recomputed,
+ * invalidations) are folded: a sharded run keeps one cache per rank,
+ * and only one rank may report the single rebuild and shadow sync a
+ * one-cache run records, while the traffic partitions exactly across
+ * ranks.
+ */
 inline void
-foldCacheStats(const EnergyCacheStats &s)
+foldCacheStats(const EnergyCacheStats &s, bool perRun = true)
 {
     const SolverMetricIds &ids = SolverMetricIds::get();
     obs::Registry &reg = obs::Registry::global();
     reg.add(ids.cacheHits, s.cleanHits);
     reg.add(ids.cacheRecomputed, s.recomputed);
     reg.add(ids.cacheInvalidations, s.invalidations);
+    if (!perRun)
+        return;
     reg.add(ids.cacheRebuilds, s.rebuilds);
     reg.add(ids.cacheShadowSyncs, s.shadowSyncs);
 }

@@ -1,6 +1,5 @@
 #include "shard/sharded_solver.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -11,26 +10,19 @@
 #include "mrf/checkerboard_detail.hh"
 #include "mrf/checkpoint.hh"
 #include "mrf/energy_cache.hh"
-#include "mrf/solver_telemetry.hh"
+#include "mrf/run_frame.hh"
 #include "obs/metrics.hh"
-#include "rng/rng.hh"
 #include "shard/tile_partition.hh"
 #include "shard/transport.hh"
 #include "util/checkpoint.hh"
 #include "util/logging.hh"
-#include "util/thread_pool.hh"
 
 namespace retsim {
 namespace shard {
 
 namespace {
 
-using mrf::detail::CacheSlot;
-using mrf::detail::RowArena;
 using mrf::detail::StripeCounters;
-using mrf::detail::stripeRowStart;
-using mrf::detail::stripeStreamSeed;
-using mrf::detail::updateRow;
 
 /** Transport-behavior counters, folded per rank at the sweep join
  *  (same static-registration pattern as SolverMetricIds). */
@@ -77,7 +69,6 @@ struct ShardSpec
     bool wantEnergy = false; ///< rank 0 keeps a SolverTrace
     bool wantStats = false;  ///< telemetry recorder active on rank 0
     bool gatherObserver = false; ///< sweepObserver needs labels/sweep
-    bool checkpointing = false;
 };
 
 /** Both sides of the GATHER exchange must evaluate this identically:
@@ -89,8 +80,7 @@ gatherNeeded(const ShardSpec &spec, const mrf::SolverConfig &config,
 {
     return spec.gatherObserver ||
            sweep + 1 == config.annealing.sweeps ||
-           (spec.checkpointing &&
-            mrf::detail::shouldCheckpoint(config, sweep + 1));
+           mrf::detail::shouldCheckpoint(config, sweep + 1);
 }
 
 /** The rank that folds the full cache stats (including the one
@@ -106,36 +96,23 @@ firstNonEmptyRank(const TilePartition &part)
 }
 
 /**
- * One rank's compute state and per-phase work: its contiguous run of
- * global stripes, a PRIVATE full-size label map (ghost rows refreshed
- * by message), and a private energy-plane cache covering its rows.
+ * One rank: the phase engine over its contiguous run of global
+ * stripes, a PRIVATE full-size label map whose ghost rows are
+ * refreshed by message, and the halo exchange between phases.
  */
-struct TileWork
+struct RankWork
 {
-    const mrf::SolverConfig &config;
     const mrf::MrfProblem &problem;
-    const TilePartition &part;
     LoopbackMesh::Endpoint tr;
     img::LabelMap &labels;
-    std::vector<std::unique_ptr<mrf::LabelSampler>> &clones;
+    const std::vector<std::unique_ptr<mrf::LabelSampler>> &clones;
 
     int rank;
     int k0, k1;  ///< global stripe range [k0, k1)
     int lo, hi;  ///< owned row range [lo, hi)
     int up, down; ///< neighbor ranks (-1 = grid boundary)
 
-    std::unique_ptr<mrf::EnergyPlaneCache> cache;
-    std::vector<std::uint64_t> keyArena;
-    std::size_t kcw = 0;
-    std::size_t keyStride = 0;
-    std::vector<RowArena> scratch;
-    std::vector<StripeCounters> counters;
-    std::vector<std::vector<std::uint64_t>> deferred;
-    std::vector<obs::MetricShard> shards;
-
-    /** Intra-rank stripe dispatch (SolverConfig::threads, same rule
-     *  as the single-process checkerboard solver). */
-    std::unique_ptr<util::ThreadPool> pool;
+    mrf::detail::StripeEngine engine;
 
     // Transport-behavior tallies, folded by foldShards() per sweep.
     std::uint64_t haloBytesSent = 0;
@@ -143,128 +120,20 @@ struct TileWork
     std::uint64_t haloWaitNs = 0;
     std::uint64_t interiorNs = 0;
 
-    TileWork(const mrf::SolverConfig &cfg,
+    RankWork(const mrf::SolverConfig &config,
              const mrf::MrfProblem &prob, const TilePartition &p,
              LoopbackMesh::Endpoint transport, img::LabelMap &lab,
-             std::vector<std::unique_ptr<mrf::LabelSampler>> &cl,
+             const std::vector<std::unique_ptr<mrf::LabelSampler>> &cl,
              int r)
-        : config(cfg), problem(prob), part(p), tr(transport),
-          labels(lab), clones(cl), rank(r),
-          k0(p.stripeBegin(r)), k1(p.stripeEnd(r)),
+        : problem(prob), tr(transport), labels(lab), clones(cl),
+          rank(r), k0(p.stripeBegin(r)), k1(p.stripeEnd(r)),
           lo(p.rowBegin(r)), hi(p.rowEnd(r)),
-          up(p.neighborAbove(r)), down(p.neighborBelow(r))
+          up(p.neighborAbove(r)), down(p.neighborBelow(r)),
+          engine(config, prob, lab, cl, k0, k1)
     {
-        if (empty())
-            return;
-        const int m = problem.numLabels();
-        const int width = problem.width();
-        obs::Registry &reg = obs::Registry::global();
-        // Same cache gate as the single-process solver; each rank
-        // keeps its own full-grid cache + key arena (only its rows
-        // are ever refreshed, ghost-row slabs stay permanently dirty
-        // and are never served).
-        if (config.energyCache && m <= 256) {
-            cache = std::make_unique<mrf::EnergyPlaneCache>(
-                width, problem.height(), m, /*phases=*/2);
-            cache->syncShadow(labels);
-            kcw = clones[static_cast<std::size_t>(k0)]->rowCacheWords(
-                m);
-            if (kcw > 0)
-                keyArena.assign(
-                    static_cast<std::size_t>(problem.height()) * 2 *
-                        static_cast<std::size_t>((width + 1) / 2) *
-                        kcw,
-                    0);
-        }
-        keyStride =
-            static_cast<std::size_t>((width + 1) / 2) * kcw;
-        const std::size_t n = static_cast<std::size_t>(k1 - k0);
-        scratch.assign(n, RowArena(width, m));
-        counters.assign(n, StripeCounters{});
-        deferred.assign(n, {});
-        shards.reserve(n);
-        for (std::size_t i = 0; i < n; ++i)
-            shards.push_back(reg.makeShard());
-        // parallelFor's caller participates, so a pool of threads-1
-        // workers yields exactly `threads` concurrent executors —
-        // the single-process solver's sizing rule, capped at this
-        // rank's stripe count.
-        int threads =
-            config.threads == 0
-                ? static_cast<int>(
-                      util::ThreadPool::global().numThreads())
-                : config.threads;
-        threads = std::min(threads, k1 - k0);
-        if (threads > 1)
-            pool = std::make_unique<util::ThreadPool>(
-                static_cast<std::size_t>(threads - 1));
     }
 
     bool empty() const { return k0 == k1; }
-
-    void
-    runStripe(int sweep, int color, int k, double temperature)
-    {
-        const int height = problem.height();
-        const int stripes = part.stripes();
-        const int y0 = stripeRowStart(k, height, stripes);
-        const int y1 = stripeRowStart(k + 1, height, stripes);
-        rng::Xoshiro256 stripe_gen(
-            stripeStreamSeed(config.seed, sweep, color, k));
-        mrf::LabelSampler &stripe_sampler =
-            *clones[static_cast<std::size_t>(k)];
-        const std::size_t i = static_cast<std::size_t>(k - k0);
-        RowArena &arena = scratch[i];
-        StripeCounters &c = counters[i];
-        obs::MetricShard &shard = shards[i];
-        const auto &ids = mrf::detail::SolverMetricIds::get();
-        CacheSlot slot;
-        CacheSlot *cs = nullptr;
-        if (cache) {
-            slot = CacheSlot{cache.get(),
-                             keyArena.empty() ? nullptr
-                                              : keyArena.data(),
-                             kcw, keyStride, y0, y1,
-                             &deferred[i]};
-            cs = &slot;
-        }
-        for (int y = y0; y < y1; ++y) {
-            StripeCounters rc =
-                updateRow(problem, stripe_sampler, labels, y, color,
-                          temperature, arena, stripe_gen, cs);
-            c.pixelUpdates += rc.pixelUpdates;
-            c.labelChanges += rc.labelChanges;
-            shard.add(ids.pixelUpdates, rc.pixelUpdates);
-            shard.add(ids.labelChanges, rc.labelChanges);
-        }
-    }
-
-    /**
-     * Land the phase's stripe-boundary dirty marks.  Marks into rows
-     * this rank owns are applied (counted) exactly like the serial
-     * coordinator's applyDeferred; marks into another rank's rows are
-     * dropped UNcounted — the owning rank re-derives each of them
-     * from its ghost-row diff (one mark per changed ghost pixel, the
-     * same 1:1 flip correspondence the serial deferral has), so the
-     * process-wide invalidation total equals the serial run's.
-     */
-    void
-    applyOwnDeferred()
-    {
-        if (!cache)
-            return;
-        for (std::vector<std::uint64_t> &d : deferred) {
-            std::size_t keep = 0;
-            for (std::uint64_t p : d) {
-                const int y =
-                    static_cast<int>(p & 0xffffffffu);
-                if (y >= lo && y < hi)
-                    d[keep++] = p;
-            }
-            d.resize(keep);
-            cache->applyDeferred(d);
-        }
-    }
 
     void
     postBoundaryRow(int peer, int y)
@@ -282,10 +151,12 @@ struct TileWork
     /**
      * Land one received ghost row: refresh the ghost labels and mark
      * the adjacent inner row — the only row of ours whose planes
-     * depend on ghost labels — once per changed ghost pixel.  The
+     * depend on ghost labels — once per changed ghost pixel.  This
+     * re-derives the stripe-boundary marks the sending rank's engine
+     * dropped, one mark per flip as in a single-process run, so the
+     * process-wide invalidation total equals a striped run's.  The
      * change test reads the cache's SHADOW plane, which is what the
-     * cached planes were computed against, so the diff (and the
-     * invalidation count) stays identical to the serial run's.
+     * cached planes were computed against.
      */
     void
     recvGhostRow(int peer, int yg)
@@ -299,10 +170,10 @@ struct TileWork
         RETSIM_ASSERT(y == yg, "halo: rank ", rank, " expected row ",
                       yg, " from rank ", peer, ", got ", y);
         const int inner = yg < lo ? lo : hi - 1;
+        mrf::EnergyPlaneCache *cache = engine.cache();
         const std::uint8_t *shadow =
             cache ? cache->shadow() +
-                        static_cast<std::size_t>(yg) *
-                            problem.width()
+                        static_cast<std::size_t>(yg) * problem.width()
                   : nullptr;
         for (int x = 0; x < problem.width(); ++x) {
             const int nv = rd.i32();
@@ -333,54 +204,25 @@ struct TileWork
             recvGhostRow(down, hi);
     }
 
-    /**
-     * One color phase: all of this rank's stripes, across the pool
-     * when one exists, then a synchronous halo exchange.  Any stripe
-     * order (and any thread interleaving) yields byte-identical
-     * results: each stripe draws from its own (seed, sweep, color,
-     * stripe) RNG stream and sampler clone, and every neighbor read
-     * within a phase is a frozen other-color pixel.
-     */
+    /** One color phase of this rank's stripes, then the halo
+     *  exchange; within the phase every neighbor read is a frozen
+     *  other-color pixel. */
     void
     runPhase(int sweep, int color, double temperature)
     {
         if (empty())
             return;
         const auto t0 = std::chrono::steady_clock::now();
-        if (pool && k1 - k0 > 1)
-            pool->parallelFor(
-                static_cast<std::size_t>(k1 - k0),
-                [&](std::size_t i) {
-                    runStripe(sweep, color, k0 + static_cast<int>(i),
-                              temperature);
-                });
-        else
-            for (int k = k0; k < k1; ++k)
-                runStripe(sweep, color, k, temperature);
+        engine.runPhase(sweep, color, temperature);
         interiorNs += nsSince(t0);
-        applyOwnDeferred();
         haloExchange();
-    }
-
-    /** Sum and reset the per-stripe trace counters (sweep join). */
-    StripeCounters
-    takeSweepCounters()
-    {
-        StripeCounters tot;
-        for (StripeCounters &c : counters) {
-            tot.pixelUpdates += c.pixelUpdates;
-            tot.labelChanges += c.labelChanges;
-            c = StripeCounters{};
-        }
-        return tot;
     }
 
     void
     foldShards()
     {
+        engine.foldMetrics();
         obs::Registry &reg = obs::Registry::global();
-        for (obs::MetricShard &s : shards)
-            reg.fold(s);
         const ShardMetricIds &sids = ShardMetricIds::get();
         reg.add(sids.haloBytesSent, haloBytesSent);
         reg.add(sids.haloSendNs, haloSendNs);
@@ -388,59 +230,24 @@ struct TileWork
         reg.add(sids.interiorNs, interiorNs);
         haloBytesSent = haloSendNs = haloWaitNs = interiorNs = 0;
     }
-
-    mrf::SamplerStats
-    cloneStatsSum() const
-    {
-        mrf::SamplerStats s;
-        for (int k = k0; k < k1; ++k)
-            s += clones[static_cast<std::size_t>(k)]->stats();
-        return s;
-    }
-
-    /**
-     * Fold this rank's cache traffic into its registry.  Exactly one
-     * rank (the first non-empty one) folds everything; the others
-     * skip rebuilds/shadowSyncs — the per-rank caches are an
-     * implementation artifact of sharding (serial has ONE cache, one
-     * rebuild, one shadow sync), while the traffic counters
-     * hits/recomputed/invalidations partition exactly across ranks.
-     */
-    void
-    foldCacheCounters(bool fullFold)
-    {
-        if (!cache)
-            return;
-        if (fullFold) {
-            mrf::detail::foldCacheStats(cache->stats());
-            return;
-        }
-        const auto &ids = mrf::detail::SolverMetricIds::get();
-        obs::Registry &reg = obs::Registry::global();
-        const mrf::EnergyCacheStats &s = cache->stats();
-        reg.add(ids.cacheHits, s.cleanHits);
-        reg.add(ids.cacheRecomputed, s.recomputed);
-        reg.add(ids.cacheInvalidations, s.invalidations);
-    }
 };
 
 // ------------------------------------------------------------------
 // Message payloads
 
 std::vector<unsigned char>
-buildJoin(TileWork &work, const ShardSpec &spec,
+buildJoin(RankWork &work, const ShardSpec &spec,
           const StripeCounters &tot)
 {
     util::ByteWriter w;
     w.u64(tot.pixelUpdates);
     w.u64(tot.labelChanges);
     if (spec.wantStats) {
-        mrf::SamplerStats s = work.cloneStatsSum();
+        mrf::SamplerStats s = work.engine.samplerStats();
         w.u64(s.samples);
         w.u64(s.noSample);
         w.u64(s.ties);
-        const mrf::EnergyCacheStats *c =
-            work.cache ? &work.cache->stats() : nullptr;
+        const mrf::EnergyCacheStats *c = work.engine.cacheStats();
         w.u64(c ? c->cleanHits.load() : 0);
         w.u64(c ? c->recomputed.load() : 0);
         w.u64(c ? c->invalidations.load() : 0);
@@ -454,7 +261,7 @@ buildJoin(TileWork &work, const ShardSpec &spec,
 }
 
 std::vector<unsigned char>
-buildGather(TileWork &work)
+buildGather(RankWork &work)
 {
     util::ByteWriter w;
     w.u32(static_cast<std::uint32_t>(work.lo));
@@ -485,9 +292,9 @@ runWorkerRank(const mrf::SolverConfig &config, const ShardSpec &spec,
               const TilePartition &part,
               const mrf::MrfProblem &problem, LoopbackMesh::Endpoint tr,
               img::LabelMap &labels,
-              std::vector<std::unique_ptr<mrf::LabelSampler>> &clones)
+              const std::vector<std::unique_ptr<mrf::LabelSampler>> &clones)
 {
-    TileWork work(config, problem, part, tr, labels, clones,
+    RankWork work(config, problem, part, tr, labels, clones,
                   tr.rank());
     if (!work.empty()) {
         for (int s = spec.startSweep; s < config.annealing.sweeps;
@@ -497,13 +304,13 @@ runWorkerRank(const mrf::SolverConfig &config, const ShardSpec &spec,
             for (int color = 0; color < 2; ++color)
                 work.runPhase(s, color, temperature);
             work.foldShards();
-            StripeCounters tot = work.takeSweepCounters();
+            StripeCounters tot = work.engine.takeCounters();
             tr.send(0, tag::kJoin, buildJoin(work, spec, tot));
             if (gatherNeeded(spec, config, s))
                 tr.send(0, tag::kGather, buildGather(work));
         }
     }
-    work.foldCacheCounters(tr.rank() == firstNonEmptyRank(part));
+    work.engine.foldCacheStats(tr.rank() == firstNonEmptyRank(part));
 }
 
 } // namespace
@@ -517,114 +324,42 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
                                img::LabelMap &labels,
                                mrf::SolverTrace *caller_trace) const
 {
-    if (options_.shards <= 1) {
-        // Single shard: the striped single-process solver IS the
-        // reference semantics; no transport needed.
+    if (options_.shards <= 1)
         return mrf::CheckerboardGibbsSolver(config_).run(
             problem, sampler, labels, caller_trace);
-    }
 
-    RETSIM_ASSERT(labels.width() == problem.width() &&
-                      labels.height() == problem.height(),
-                  "label map size mismatch");
-    RETSIM_ASSERT(problem.neighborhood() ==
-                      mrf::Neighborhood::Four,
-                  "sharding uses the two-color chromatic schedule, "
-                  "which is only valid on the 4-neighborhood");
     const int m = problem.numLabels();
     const int height = problem.height();
     const int width = problem.width();
-    rng::Xoshiro256 gen(config_.seed);
-    const bool checkpointing = config_.checkpointEvery > 0;
-    if (checkpointing && !config_.checkpointSink &&
-        config_.checkpointPath.empty())
-        RETSIM_FATAL("checkpointEvery is set but neither "
-                     "checkpointPath nor checkpointSink is "
-                     "configured");
-    // Sharded runs ALWAYS use the striped decomposition (the legacy
-    // single-stream serial path has no partition identity), with the
-    // same effective stripe count rule as the single-process solver —
-    // so snapshots and results interchange with serial striped runs.
-    const int stripes = std::min(
-        config_.stripes > 0 ? config_.stripes : std::min(height, 16),
-        height);
+    // Sharded runs ALWAYS use the striped decomposition (the
+    // single-stream serial schedule has no partition identity), so
+    // snapshots and results interchange with striped runs.
+    const int stripes = mrf::detail::effectiveStripes(config_, height);
     const TilePartition part(height, stripes, options_.shards);
 
-    const mrf::detail::SolverMetricIds &ids =
-        mrf::detail::SolverMetricIds::get();
-    obs::Registry &reg = obs::Registry::global();
-    mrf::detail::SweepTelemetry telemetry(problem, sampler,
-                                          "checkerboard");
-    mrf::SolverTrace local_trace;
-    mrf::SolverTrace *trace =
-        caller_trace ? caller_trace
-                     : ((telemetry.active() || checkpointing)
-                            ? &local_trace
-                            : nullptr);
-
-    const mrf::SolverCheckpoint *resume = config_.resume.get();
-    int start_sweep = 0;
-    if (resume) {
-        mrf::detail::validateResume(*resume, "checkerboard", config_,
-                                    width, height, m, sampler.name(),
-                                    stripes);
-        labels = resume->labels;
-        if (!gen.loadState(resume->solverGen))
-            RETSIM_FATAL("resume snapshot: solver generator state "
-                         "does not fit ",
-                         gen.name());
-        if (!sampler.loadState(resume->samplerState))
-            RETSIM_FATAL("resume snapshot: sampler state does not "
-                         "fit sampler '",
-                         sampler.name(), "'");
-        if (trace)
-            *trace = resume->trace;
-        start_sweep = resume->sweepsDone;
-    } else if (config_.randomInit) {
-        for (int &l : labels.data())
-            l = static_cast<int>(gen.nextBounded(m));
-    }
-
-    if (trace)
-        telemetry.setTraceBaseline(trace->pixelUpdates,
-                                   trace->labelChanges);
-
-    // All S sampler clones are created on rank 0 BEFORE the worker
-    // threads start, in ascending stripe order — the exact clone
-    // sequence of the serial striped run — and every rank uses only
-    // its own stripes' clones.
-    std::vector<std::unique_ptr<mrf::LabelSampler>> clones(
-        static_cast<std::size_t>(stripes));
-    for (int k = 0; k < stripes; ++k)
-        clones[static_cast<std::size_t>(k)] =
-            sampler.clone(static_cast<std::uint64_t>(k));
-    if (resume) {
-        RETSIM_ASSERT(static_cast<int>(
-                          resume->stripeSamplerState.size()) ==
-                          stripes,
-                      "stripe-state table size mismatch");
-        for (int k = 0; k < stripes; ++k) {
-            if (!clones[static_cast<std::size_t>(k)]->loadState(
-                    resume->stripeSamplerState[k]))
-                RETSIM_FATAL("resume snapshot: stripe ", k,
-                             " sampler state does not fit sampler '",
-                             clones[static_cast<std::size_t>(k)]
-                                 ->name(),
-                             "'");
-        }
-    }
+    // Rank 0 owns everything stateful a caller can observe: init or
+    // resume, the caller's sampler and label map, all S stripe clones
+    // (made in ascending stripe order before the workers start, each
+    // rank using only its own), trace, telemetry, sweep observers and
+    // snapshots.
+    mrf::detail::RunFrame frame("checkerboard", config_, problem,
+                                sampler, labels, caller_trace, stripes);
+    mrf::SolverTrace *trace = frame.trace;
+    const std::vector<std::unique_ptr<mrf::LabelSampler>> &clones =
+        frame.clones;
 
     ShardSpec spec;
-    spec.startSweep = start_sweep;
+    spec.startSweep = frame.startSweep;
     spec.wantEnergy = trace != nullptr;
-    spec.wantStats = telemetry.active();
+    spec.wantStats = frame.telemetry.active();
     spec.gatherObserver = static_cast<bool>(config_.sweepObserver);
-    spec.checkpointing = checkpointing;
 
     const int N = options_.shards;
 
     // ---- start the worker ranks -----------------------------------
     LoopbackMesh mesh(N);
+    LoopbackMesh::Endpoint tr = mesh.endpoint(0);
+    RankWork work(config_, problem, part, tr, labels, clones, 0);
     std::vector<img::LabelMap> workerLabels(
         static_cast<std::size_t>(N - 1), labels);
     std::vector<std::thread> workerThreads;
@@ -635,59 +370,37 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
                           workerLabels[static_cast<std::size_t>(r - 1)],
                           clones);
         });
-    LoopbackMesh::Endpoint tr = mesh.endpoint(0);
 
     // ---- rank 0 ---------------------------------------------------
-    TileWork work(config_, problem, part, tr, labels, clones, 0);
-
-    auto capture = [&](int done) {
-        mrf::SolverCheckpoint cp;
-        cp.solverKind = "checkerboard";
-        cp.samplerName = sampler.name();
-        cp.seed = config_.seed;
-        cp.t0 = config_.annealing.t0;
-        cp.tEnd = config_.annealing.tEnd;
-        cp.sweepsTotal = config_.annealing.sweeps;
-        cp.width = width;
-        cp.height = height;
-        cp.numLabels = m;
-        cp.stripes = stripes;
-        cp.randomScan = config_.randomScan;
-        cp.sweepsDone = done;
-        cp.labels = labels;
-        gen.saveState(cp.solverGen);
-        sampler.saveState(cp.samplerState);
-        if (trace)
-            cp.trace = *trace;
-        return cp;
-    };
-
-    // Latest per-stripe sampler states gathered from workers,
-    // refreshed on every GATHER sweep; local stripes read the live
-    // clones instead.
-    std::vector<std::vector<std::uint64_t>> remoteStripeState(
+    // Latest per-stripe sampler states: remote stripes refreshed on
+    // every GATHER sweep, local ones from the live clones just before
+    // a snapshot.
+    std::vector<std::vector<std::uint64_t>> stripeState(
         static_cast<std::size_t>(stripes));
     std::vector<double> rowEnergies(
         static_cast<std::size_t>(height), 0.0);
-    // Cumulative remote-side stats, rebuilt each sweep from the JOIN
-    // frames; the telemetry aggregate below mirrors serial's single
-    // cache/sampler totals.
+    // Cumulative cache stats over all ranks, rebuilt each sweep from
+    // the JOIN frames (telemetry runs only); the telemetry record sees
+    // one cache's totals as in a striped run.
     mrf::EnergyCacheStats aggCache;
 
-    for (int s = start_sweep; s < config_.annealing.sweeps; ++s) {
+    for (int s = frame.startSweep; s < config_.annealing.sweeps; ++s) {
         const double temperature = config_.annealing.temperature(s);
         for (int color = 0; color < 2; ++color)
             work.runPhase(s, color, temperature);
 
         // ---- sweep join ------------------------------------------
-        StripeCounters tot = work.takeSweepCounters();
+        StripeCounters tot = work.engine.takeCounters();
         if (spec.wantEnergy)
             for (int y = work.lo; y < work.hi; ++y)
                 rowEnergies[static_cast<std::size_t>(y)] =
                     problem.rowEnergy(labels, y);
-        mrf::SamplerStats remoteStats;
-        std::uint64_t remoteHits = 0, remoteRecomputed = 0,
-                      remoteInvalidations = 0;
+        mrf::SamplerStats cum = sampler.stats();
+        cum += work.engine.samplerStats();
+        const mrf::EnergyCacheStats *own = work.engine.cacheStats();
+        aggCache.cleanHits = own ? own->cleanHits.load() : 0;
+        aggCache.recomputed = own ? own->recomputed.load() : 0;
+        aggCache.invalidations = own ? own->invalidations.load() : 0;
         for (int r = 1; r < N; ++r) {
             if (part.empty(r))
                 continue;
@@ -697,11 +410,10 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
             tot.pixelUpdates += rd.u64();
             tot.labelChanges += rd.u64();
             if (spec.wantStats) {
-                remoteStats +=
-                    mrf::SamplerStats{rd.u64(), rd.u64(), rd.u64()};
-                remoteHits += rd.u64();
-                remoteRecomputed += rd.u64();
-                remoteInvalidations += rd.u64();
+                cum += mrf::SamplerStats{rd.u64(), rd.u64(), rd.u64()};
+                aggCache.cleanHits += rd.u64();
+                aggCache.recomputed += rd.u64();
+                aggCache.invalidations += rd.u64();
             }
             if (spec.wantEnergy) {
                 const int rows = static_cast<int>(rd.u32());
@@ -715,16 +427,14 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
             RETSIM_ASSERT(rd.ok() && rd.atEnd(),
                           "shard: malformed JOIN from rank ", r);
         }
+        // Reduced in row order, exactly like totalEnergy(): the
+        // folded sum is bit-identical to the striped value.
+        double energy = 0.0;
         if (trace) {
             trace->pixelUpdates += tot.pixelUpdates;
             trace->labelChanges += tot.labelChanges;
-            // Reduced in row order, exactly like totalEnergy(): the
-            // folded sum is bit-identical to the serial value.
-            double e = 0.0;
             for (double p : rowEnergies)
-                e += p;
-            trace->energyPerSweep.push_back(e);
-            trace->temperaturePerSweep.push_back(temperature);
+                energy += p;
         }
         work.foldShards();
         if (gatherNeeded(spec, config_, s)) {
@@ -747,87 +457,51 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
                                         part.stripeBegin(r),
                               "shard: GATHER stripe count mismatch");
                 for (int j = 0; j < nk; ++j)
-                    remoteStripeState[static_cast<std::size_t>(
+                    stripeState[static_cast<std::size_t>(
                         part.stripeBegin(r) + j)] = rd.words();
                 RETSIM_ASSERT(rd.ok() && rd.atEnd(),
                               "shard: malformed GATHER from rank ",
                               r);
             }
         }
-        if (telemetry.active()) {
-            mrf::SamplerStats cum = sampler.stats();
-            cum += work.cloneStatsSum();
-            cum += remoteStats;
-            const mrf::EnergyCacheStats *cacheStats = nullptr;
-            if (config_.energyCache && m <= 256) {
-                const mrf::EnergyCacheStats &own =
-                    work.cache ? work.cache->stats() : aggCache;
-                aggCache.cleanHits.store(
-                    (work.cache ? own.cleanHits.load() : 0) +
-                    remoteHits);
-                aggCache.recomputed.store(
-                    (work.cache ? own.recomputed.load() : 0) +
-                    remoteRecomputed);
-                aggCache.invalidations.store(
-                    (work.cache ? own.invalidations.load() : 0) +
-                    remoteInvalidations);
-                cacheStats = &aggCache;
+        frame.endSweep(s, temperature, energy, cum,
+                       mrf::detail::usesEnergyCache(config_, m)
+                           ? &aggCache
+                           : nullptr);
+        if (mrf::detail::shouldCheckpoint(config_, s + 1)) {
+            for (int k = work.k0; k < work.k1; ++k) {
+                std::vector<std::uint64_t> &state =
+                    stripeState[static_cast<std::size_t>(k)];
+                state.clear();
+                clones[static_cast<std::size_t>(k)]->saveState(state);
             }
-            telemetry.recordSweep(s, temperature,
-                                  trace->energyPerSweep.back(),
-                                  trace->pixelUpdates,
-                                  trace->labelChanges, cum,
-                                  cacheStats);
-        }
-        if (config_.sweepObserver)
-            config_.sweepObserver(s, temperature, labels);
-        if (checkpointing &&
-            mrf::detail::shouldCheckpoint(config_, s + 1)) {
-            mrf::SolverCheckpoint cp = capture(s + 1);
-            cp.stripeSamplerState.resize(
-                static_cast<std::size_t>(stripes));
-            for (int k = 0; k < stripes; ++k) {
-                if (k >= work.k0 && k < work.k1)
-                    clones[static_cast<std::size_t>(k)]->saveState(
-                        cp.stripeSamplerState[static_cast<
-                            std::size_t>(k)]);
-                else
-                    cp.stripeSamplerState[static_cast<std::size_t>(
-                        k)] =
-                        remoteStripeState[static_cast<std::size_t>(
-                            k)];
-            }
-            mrf::detail::emitCheckpoint(config_, cp);
+            frame.emitCheckpoint(s + 1, stripeState);
         }
     }
 
-    reg.add(ids.runs, 1);
-    reg.add(ids.sweeps,
-            static_cast<std::uint64_t>(config_.annealing.sweeps -
-                                       start_sweep));
-    work.foldCacheCounters(firstNonEmptyRank(part) == 0);
+    work.engine.foldCacheStats(firstNonEmptyRank(part) == 0);
 
     for (std::thread &t : workerThreads)
         t.join();
 
     // Restore every remote stripe clone to its final worker-side
-    // state (the final sweep always GATHERs), then fold all S clones
-    // into the caller's sampler in ascending stripe order — the
-    // serial striped run's exact mergeStats sequence.  A resume from
-    // an already-complete snapshot runs zero sweeps, so no GATHER
-    // fired; the clones keep the state restored from the snapshot,
-    // exactly as the serial striped solver's do.
-    const bool gathered = start_sweep < config_.annealing.sweeps;
-    for (int k = 0; k < stripes; ++k) {
-        if (gathered && (k < work.k0 || k >= work.k1)) {
+    // state (the final sweep always GATHERs) before the frame folds
+    // all S clones into the caller's sampler in ascending stripe
+    // order — the striped run's exact mergeStats sequence.  A resume
+    // from an already-complete snapshot runs zero sweeps, so no
+    // GATHER fired; the clones keep the state restored from the
+    // snapshot, exactly as the striped solver's do.
+    if (frame.startSweep < config_.annealing.sweeps) {
+        for (int k = 0; k < stripes; ++k) {
+            if (k >= work.k0 && k < work.k1)
+                continue;
             if (!clones[static_cast<std::size_t>(k)]->loadState(
-                    remoteStripeState[static_cast<std::size_t>(k)]))
+                    stripeState[static_cast<std::size_t>(k)]))
                 RETSIM_FATAL("shard: stripe ", k,
                              " final sampler state does not fit");
         }
-        sampler.mergeStats(*clones[static_cast<std::size_t>(k)]);
     }
-
+    frame.finish();
     return labels;
 }
 

@@ -2,17 +2,18 @@
  * @file
  * Sharded checkerboard Gibbs solver: rank threads exchanging messages.
  *
- * Runs the EXACT stripe schedule of the striped
- * CheckerboardGibbsSolver — same per-(seed, sweep, color, stripe)
- * RNG streams, same per-stripe sampler clones indexed by GLOBAL
- * stripe id, same batched row kernel (mrf/checkerboard_detail.hh) —
- * but splits the stripes across N shard ranks by a TilePartition.
- * Each rank is a thread with a private label map; shared memory is
- * replaced by explicit messages over an in-process LoopbackMesh
- * (shard/transport.hh): one-row ghost zones refreshed by a
- * synchronous exchange at every color-phase boundary, and per-shard
- * counter / SamplerStats folds at the sweep join (plain sums, so
- * every total equals the serial run's).
+ * Each rank runs the chromatic phase engine
+ * (mrf/checkerboard_detail.hh) over its TilePartition range of global
+ * stripes — the very code the striped CheckerboardGibbsSolver runs
+ * over all of them, so the per-(seed, sweep, color, stripe) RNG
+ * streams, the per-stripe sampler clones and the batched row kernel
+ * are shared, not mirrored.  On top of the engine a rank adds only
+ * what sharding needs: a private label map whose one-row ghost zones
+ * are refreshed by a synchronous exchange over an in-process
+ * LoopbackMesh (shard/transport.hh) at every color-phase boundary,
+ * the re-derivation of the cross-rank dirty marks from that ghost
+ * diff, and the per-sweep JOIN (counter and SamplerStats folds, plain
+ * sums, so every total equals the striped run's) and GATHER frames.
  *
  * Determinism contract (enforced by tools/shard_check + the CI
  * shard-equivalence leg): for ANY shard count N and intra-rank thread
@@ -25,13 +26,13 @@
  * serial or sharded snapshot and vice versa, byte-identically.
  *
  * Division of labor: rank 0 is the caller's thread and owns
- * everything stateful a caller can observe — init/resume, the
- * caller's sampler and label map, trace, telemetry, sweep observers,
- * checkpoint emission — while workers own only their tile's row
- * range.  Within a rank, stripes dispatch across
- * SolverConfig::threads (the single-process solver's sizing rule,
- * capped at the rank's stripe count); the thread count is
- * schedule-only and never changes the result.
+ * everything stateful a caller can observe — the run frame shared
+ * with the single-process solvers (init/resume, the caller's sampler
+ * and label map, trace, telemetry, sweep observers, checkpoint
+ * emission) — while workers own only their tile's row range.  Within
+ * a rank, stripes dispatch across SolverConfig::threads (capped at
+ * the rank's stripe count); the thread count is schedule-only and
+ * never changes the result.
  */
 
 #ifndef RETSIM_SHARD_SHARDED_SOLVER_HH
@@ -47,8 +48,13 @@ namespace shard {
 
 struct ShardOptions
 {
-    /** Shard (rank) count; <= 1 delegates to the striped
-     *  single-process CheckerboardGibbsSolver. */
+    /**
+     * Shard (rank) count.  <= 1 runs CheckerboardGibbsSolver with the
+     * same config — with the default threads = 1, stripes = 0 that is
+     * its single-stream serial schedule, whose RNG streams differ from
+     * every sharded run; set stripes (or threads != 1) to get the
+     * striped schedule sharded runs reproduce.
+     */
     int shards = 1;
 };
 

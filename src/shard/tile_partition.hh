@@ -9,7 +9,7 @@
  * shards a CONTIGUOUS, STRIPE-ALIGNED run of those global stripes —
  * shard j owns stripes [S*j/N, S*(j+1)/N) and therefore the row range
  * they cover — so a run sharded N ways executes exactly the stripe
- * schedule of the serial striped run, just split across processes.
+ * schedule of the serial striped run, just split across ranks.
  * That alignment is the whole determinism argument: stream keys and
  * per-stripe sampler clones are indexed by the GLOBAL stripe id,
  * which is independent of N.

@@ -177,6 +177,25 @@ TEST(CheckerboardSolver, EnergyDescendsUnderAnnealing)
               trace.energyPerSweep.front() * 0.5);
 }
 
+TEST(CheckerboardSolverDeathTest, RejectsOutOfRangeInitialLabels)
+{
+    // Without randomInit the caller's labels index the pairwise table
+    // and the 8-bit shadow plane, so both schedules must reject a
+    // label outside [0, m) before the first sweep.
+    MrfProblem p = pinnedPotts(6, 5, 1.0);
+    for (int stripes : {0, 3}) {
+        SCOPED_TRACE(stripes == 0 ? "serial" : "striped");
+        SolverConfig cfg = annealCfg(2, 3);
+        cfg.randomInit = false;
+        cfg.stripes = stripes;
+        img::LabelMap labels(6, 6, 0);
+        labels(2, 4) = 1000000;
+        core::SoftwareSampler sw;
+        EXPECT_DEATH(CheckerboardGibbsSolver(cfg).run(p, sw, labels),
+                     "initial label 1000000 out of range");
+    }
+}
+
 // ------------------------------------------------------------ phase type
 
 TEST(PhaseType, ErlangMomentsExact)

@@ -6,21 +6,29 @@
  * stream keys, the loopback mesh's matched receive, and the headline
  * equivalence contract — a run sharded N ways at any intra-rank
  * thread count is byte-identical (labels, trace, final snapshot) to
- * the serial striped run, also when it resumes a mid-anneal snapshot.
+ * the serial striped run, also when it resumes a mid-anneal snapshot —
+ * and folds every mrf.* registry counter, the caller sampler's stats
+ * and the per-sweep telemetry exactly like the striped run.
  */
 
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/rsu_config.hh"
+#include "core/sampler_rsu.hh"
 #include "core/sampler_software.hh"
 #include "img/image.hh"
 #include "mrf/checkerboard.hh"
 #include "mrf/checkerboard_detail.hh"
 #include "mrf/checkpoint.hh"
 #include "mrf/problem.hh"
+#include "obs/metrics.hh"
+#include "obs/telemetry.hh"
 #include "shard/sharded_solver.hh"
 #include "shard/tile_partition.hh"
 #include "shard/transport.hh"
@@ -358,6 +366,130 @@ TEST(ShardedSolver, ResumesMidAnnealSnapshotByteForByte)
                           runLoopback(problem, 4, resumeShards, 1, mid));
         }
     }
+}
+
+// ------------------------------------------------------------------
+// Counter folds
+
+/** Everything a run reports besides its labels, trace and snapshot. */
+struct RunCounters
+{
+    std::map<std::string, std::uint64_t> registryDelta; ///< mrf.* only
+    mrf::SamplerStats samplerStats;
+    /** Per-sweep telemetry as `stream,record,field,value` rows. */
+    std::vector<std::string> telemetry;
+};
+
+std::map<std::string, std::uint64_t>
+mrfCounters()
+{
+    std::map<std::string, std::uint64_t> out;
+    for (const obs::MetricSnapshot &m : obs::Registry::global().snapshot())
+        if (m.kind == obs::MetricKind::Counter &&
+            m.name.rfind("mrf.", 0) == 0)
+            out[m.name] = m.counter;
+    return out;
+}
+
+/** Runs the striped solver (@p shards == 0) or the sharded one with a
+ *  telemetry recorder installed and collects its counters. */
+RunCounters
+runCounted(const mrf::MrfProblem &problem, bool rsu, bool energyCache,
+           int shards, int threads)
+{
+    mrf::SolverConfig cfg = solverConfig(4);
+    cfg.checkpointEvery = 0;
+    cfg.energyCache = energyCache;
+    cfg.threads = threads;
+    std::unique_ptr<mrf::LabelSampler> sampler;
+    if (rsu)
+        sampler = std::make_unique<core::RsuSampler>(
+            core::RsuConfig::newDesign());
+    else
+        sampler = std::make_unique<core::SoftwareSampler>();
+
+    obs::TelemetryRecorder recorder("counters");
+    obs::setActiveRecorder(&recorder);
+    const std::map<std::string, std::uint64_t> before = mrfCounters();
+    if (shards == 0) {
+        mrf::CheckerboardGibbsSolver(cfg).run(problem, *sampler);
+    } else {
+        shard::ShardOptions options;
+        options.shards = shards;
+        shard::ShardedCheckerboardSolver(cfg, options)
+            .run(problem, *sampler);
+    }
+    obs::setActiveRecorder(nullptr);
+
+    RunCounters r;
+    for (const auto &[name, value] : mrfCounters()) {
+        const auto it = before.find(name);
+        r.registryDelta[name] =
+            value - (it == before.end() ? 0 : it->second);
+    }
+    r.samplerStats = sampler->stats();
+    // lut_hits / lut_misses difference process-wide LambdaLut counters:
+    // their split depends on how warm the LUT cache already is, and in
+    // sharded runs workers start the next sweep while rank 0 records,
+    // so only the run totals would agree.
+    std::istringstream csv(recorder.toCsv());
+    for (std::string line; std::getline(csv, line);)
+        if (line.find(",lut_hits,") == std::string::npos &&
+            line.find(",lut_misses,") == std::string::npos)
+            r.telemetry.push_back(line);
+    return r;
+}
+
+TEST(ShardedSolver, FoldsCountersExactlyLikeStripedRuns)
+{
+    const mrf::MrfProblem problem = makeProblem();
+    for (bool rsu : {false, true}) {
+        for (bool energyCache : {true, false}) {
+            const RunCounters ref =
+                runCounted(problem, rsu, energyCache, 0, 1);
+            ASSERT_GT(ref.registryDelta.at("mrf.solver.pixel_updates"),
+                      0u);
+            ASSERT_GT(ref.telemetry.size(), 1u);
+            // Shards = 5 > 4 stripes leaves a rank empty.
+            for (int shards : {2, 3, 5}) {
+                for (int threads : {1, 2}) {
+                    SCOPED_TRACE(std::string(rsu ? "rsu" : "software") +
+                                 (energyCache ? " cache=on" : " cache=off") +
+                                 " shards=" + std::to_string(shards) +
+                                 " threads=" + std::to_string(threads));
+                    const RunCounters got = runCounted(
+                        problem, rsu, energyCache, shards, threads);
+                    EXPECT_EQ(got.registryDelta, ref.registryDelta);
+                    EXPECT_EQ(got.samplerStats.samples,
+                              ref.samplerStats.samples);
+                    EXPECT_EQ(got.samplerStats.noSample,
+                              ref.samplerStats.noSample);
+                    EXPECT_EQ(got.samplerStats.ties,
+                              ref.samplerStats.ties);
+                    EXPECT_EQ(got.telemetry, ref.telemetry);
+                }
+            }
+        }
+    }
+}
+
+// ------------------------------------------------------------------
+// Input validation
+
+TEST(ShardedSolverDeathTest, RejectsOutOfRangeInitialLabels)
+{
+    const mrf::MrfProblem problem = makeProblem();
+    mrf::SolverConfig cfg = solverConfig(4);
+    cfg.checkpointEvery = 0;
+    cfg.randomInit = false;
+    img::LabelMap labels(problem.width(), problem.height(), 0);
+    labels(3, 2) = 1000000;
+    shard::ShardOptions options;
+    options.shards = 2;
+    core::SoftwareSampler sampler;
+    EXPECT_DEATH(shard::ShardedCheckerboardSolver(cfg, options)
+                     .run(problem, sampler, labels),
+                 "initial label 1000000 out of range");
 }
 
 } // namespace

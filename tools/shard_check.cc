@@ -13,13 +13,18 @@
  *   - the final label field,
  *   - the full SolverTrace (FP energy series, temperatures, counters),
  *   - the final SOLVERCP snapshot payload (labels + RNG streams +
- *     caller/stripe sampler states + trace).
+ *     caller/stripe sampler states + trace),
+ *   - the caller sampler's stats() after the run and the run's delta
+ *     of every mrf.* registry counter.
  *
  * Each sharded run also keeps its first snapshot at or past
  * mid-anneal.  A fresh sharded run at the other shard count resumes
  * from that snapshot, and its labels, trace and final snapshot must
- * match the uninterrupted serial reference byte for byte too.  Exit 0
- * only if every comparison holds.
+ * match the uninterrupted serial reference byte for byte too; its
+ * counter deltas, which cover only the resumed sweeps, must match a
+ * serial run resumed from the same snapshot.  Exit 0 only if every
+ * comparison holds; a counter mismatch names the first counter that
+ * differs.
  *
  * --threads=N (shard/shard_cli.hh) applies to every SHARDED run while
  * the serial reference stays the 1-thread striped solver, so a
@@ -27,7 +32,10 @@
  * to the very same serial goldens.
  */
 
+#include <cinttypes>
+#include <cstdint>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,6 +49,7 @@
 #include "img/synthetic.hh"
 #include "mrf/checkerboard.hh"
 #include "mrf/checkpoint.hh"
+#include "obs/metrics.hh"
 #include "shard/shard_cli.hh"
 #include "shard/sharded_solver.hh"
 #include "util/cli.hh"
@@ -65,7 +74,36 @@ struct RunResult
     img::LabelMap labels;
     mrf::SolverTrace trace;
     std::vector<unsigned char> snapshot; ///< final SOLVERCP payload
+    /** Caller sampler's stats() after the run, then the run's delta
+     *  of every mrf.* registry counter, by name. */
+    std::map<std::string, std::uint64_t> counters;
 };
+
+std::map<std::string, std::uint64_t>
+mrfCounters()
+{
+    std::map<std::string, std::uint64_t> out;
+    for (const obs::MetricSnapshot &m : obs::Registry::global().snapshot())
+        if (m.kind == obs::MetricKind::Counter &&
+            m.name.rfind("mrf.", 0) == 0)
+            out[m.name] = m.counter;
+    return out;
+}
+
+/** Record @p sampler's stats and the mrf.* deltas since @p before. */
+void
+takeCounters(RunResult &r, const mrf::LabelSampler &sampler,
+             const std::map<std::string, std::uint64_t> &before)
+{
+    const mrf::SamplerStats st = sampler.stats();
+    r.counters["sampler.samples"] = st.samples;
+    r.counters["sampler.no_sample"] = st.noSample;
+    r.counters["sampler.ties"] = st.ties;
+    for (const auto &[name, value] : mrfCounters()) {
+        const auto it = before.find(name);
+        r.counters[name] = value - (it == before.end() ? 0 : it->second);
+    }
+}
 
 /** Miniature problem + the solver schedule the gate runs it under. */
 struct Miniature
@@ -139,18 +177,23 @@ buildMiniatures()
     return minis;
 }
 
+/** Serial striped solve of @p m, from @p resume when set. */
 RunResult
-runSerial(const Miniature &m)
+runSerial(const Miniature &m,
+          std::shared_ptr<const mrf::SolverCheckpoint> resume = nullptr)
 {
     RunResult r;
     mrf::SolverConfig cfg = m.config;
+    cfg.resume = std::move(resume);
     cfg.checkpointSink = [&r](const mrf::SolverCheckpoint &cp) {
         r.snapshot = cp.serialize();
     };
     auto sampler = makeSampler();
+    const auto before = mrfCounters();
     r.labels =
         mrf::CheckerboardGibbsSolver(cfg).run(m.problem, sampler,
                                               &r.trace);
+    takeCounters(r, sampler, before);
     return r;
 }
 
@@ -188,8 +231,10 @@ runSharded(const Miniature &m, int shards,
     shard::ShardOptions options;
     options.shards = shards;
     auto sampler = makeSampler();
+    const auto before = mrfCounters();
     r.labels = shard::ShardedCheckerboardSolver(cfg, options)
                    .run(m.problem, sampler, &r.trace);
+    takeCounters(r, sampler, before);
     return r;
 }
 
@@ -204,9 +249,25 @@ sameTrace(const mrf::SolverTrace &a, const mrf::SolverTrace &b)
 
 int g_failures = 0;
 
+/** Name of the first counter that differs, or "" when all agree. */
+std::string
+firstCounterMismatch(const RunResult &ref, const RunResult &got)
+{
+    for (const auto &[name, value] : ref.counters) {
+        const auto it = got.counters.find(name);
+        if (it == got.counters.end() || it->second != value)
+            return name;
+    }
+    for (const auto &[name, value] : got.counters)
+        if (!ref.counters.count(name))
+            return name;
+    return "";
+}
+
+/** @p counterRef, when set, replaces @p ref for the counter check. */
 void
 compareRuns(const std::string &what, const RunResult &ref,
-            const RunResult &got)
+            const RunResult &got, const RunResult *counterRef = nullptr)
 {
     bool ok = true;
     if (got.labels.data() != ref.labels.data()) {
@@ -220,6 +281,19 @@ compareRuns(const std::string &what, const RunResult &ref,
     if (got.snapshot != ref.snapshot) {
         std::fprintf(stderr, "FAIL %s: final snapshot differs\n",
                      what.c_str());
+        ok = false;
+    }
+    const RunResult &cref = counterRef ? *counterRef : ref;
+    const std::string bad = firstCounterMismatch(cref, got);
+    if (!bad.empty()) {
+        const auto r = cref.counters.find(bad);
+        const auto g = got.counters.find(bad);
+        std::fprintf(stderr,
+                     "FAIL %s: counter %s differs (reference %" PRIu64
+                     ", got %" PRIu64 ")\n",
+                     what.c_str(), bad.c_str(),
+                     r == cref.counters.end() ? 0 : r->second,
+                     g == got.counters.end() ? 0 : g->second);
         ok = false;
     }
     if (ok)
@@ -252,12 +326,14 @@ main(int argc, char **argv)
                           " emitted no mid-anneal snapshot");
             const int resumeShards = shards == 2 ? 4 : 2;
             const int done = midpoint->sweepsDone;
+            const RunResult serialResumed = runSerial(m, midpoint);
             compareRuns(m.name + " shards=" + std::to_string(shards) +
                             " snapshot@" + std::to_string(done) +
                             " resumed at shards=" +
                             std::to_string(resumeShards),
                         ref,
-                        runSharded(m, resumeShards, std::move(midpoint)));
+                        runSharded(m, resumeShards, std::move(midpoint)),
+                        &serialResumed);
         }
     }
 
@@ -267,6 +343,6 @@ main(int argc, char **argv)
         return 1;
     }
     std::printf("shard_check: all sharded runs byte-identical to "
-                "serial\n");
+                "serial, counters included\n");
     return 0;
 }
