@@ -15,8 +15,7 @@
  * rsu, --race-mode=race|fastpath|auto), and the default workload list
  * includes an rsu-new-design fast-path stereo run at the packed-lane
  * label count so the device pipeline's scaling is tracked alongside
- * the software baseline.  Each run reports the incremental
- * energy-plane cache's hit rate (--energy-cache=0 disables it).
+ * the software baseline.
  *
  * With --shards=N the sharded solver is also timed per workload at 1
  * and 2 intra-rank threads, and every run row records threads and
@@ -51,30 +50,12 @@ struct RunResult
     int shards = 1;                 ///< 1 = single-process solver
     double seconds = 0.0;
     double pixelsPerSec = 0.0;
-    double cacheHitRate = 0.0;      ///< energy planes served clean
     std::uint64_t haloWaitNs = 0;   ///< time blocked on ghost rows
 };
 
-/** Energy-plane cache traffic of one run, read back from the global
- *  metric registry the solvers fold their per-run stats into. */
-struct CacheCounters
-{
-    std::uint64_t hits = 0;
-    std::uint64_t recomputed = 0;
-
-    static CacheCounters now()
-    {
-        obs::Registry &reg = obs::Registry::global();
-        static const obs::MetricId h =
-            reg.counter("mrf.energy_cache.clean_hits");
-        static const obs::MetricId r =
-            reg.counter("mrf.energy_cache.recomputed");
-        return {reg.counterValue(h), reg.counterValue(r)};
-    }
-};
-
 /** Cumulative time the shard layer spent blocked on inbound ghost
- *  rows (shard.halo.wait_ns), read back like the cache counters. */
+ *  rows (shard.halo.wait_ns), read back from the global metric
+ *  registry the solvers fold their per-run counters into. */
 std::uint64_t
 haloWaitNow()
 {
@@ -114,18 +95,9 @@ measure(const mrf::MrfProblem &problem,
     r.threads = threads;
     r.stripes = stripes;
     r.shards = shards.shards;
-    const CacheCounters before = CacheCounters::now();
     const std::uint64_t waitBefore = haloWaitNow();
     r.seconds = timeSolve(problem, factory, cfg, shards);
     r.haloWaitNs = haloWaitNow() - waitBefore;
-    const CacheCounters after = CacheCounters::now();
-    const double served =
-        static_cast<double>((after.hits - before.hits) +
-                            (after.recomputed - before.recomputed));
-    r.cacheHitRate =
-        served > 0.0
-            ? static_cast<double>(after.hits - before.hits) / served
-            : 0.0;
     double pixels = static_cast<double>(problem.width()) *
                     problem.height() * cfg.annealing.sweeps;
     r.pixelsPerSec = pixels / r.seconds;
@@ -137,17 +109,16 @@ printRun(const RunResult &r, double serial_s)
 {
     if (r.shards > 1)
         std::printf("  shards=%2d stripes=%2d threads=%d  %8.3f s  "
-                    "%12.0f px/s  halo-wait %6.2f ms  "
-                    "cache-hit %5.1f%%  %.2fx\n",
+                    "%12.0f px/s  halo-wait %6.2f ms  %.2fx\n",
                     r.shards, r.stripes, r.threads, r.seconds,
                     r.pixelsPerSec,
                     static_cast<double>(r.haloWaitNs) / 1e6,
-                    100.0 * r.cacheHitRate, serial_s / r.seconds);
+                    serial_s / r.seconds);
     else
         std::printf("  threads=%2d stripes=%2d  %8.3f s  %12.0f px/s  "
-                    "cache-hit %5.1f%%  %.2fx\n",
+                    "%.2fx\n",
                     r.threads, r.stripes, r.seconds, r.pixelsPerSec,
-                    100.0 * r.cacheHitRate, serial_s / r.seconds);
+                    serial_s / r.seconds);
 }
 
 } // namespace
@@ -165,7 +136,6 @@ main(int argc, char **argv)
         args.getString("out", "BENCH_solver_scaling.json");
     const std::string sampler_arg = args.getString("sampler", "");
     const std::string race_arg = args.getString("race-mode", "auto");
-    const bool energy_cache = args.getBool("energy-cache", true);
     // --shards=N appends multi-shard runs per workload so sharded
     // throughput lands in the same perf trajectory file.
     const shard::ShardOptions shard_options =
@@ -208,9 +178,8 @@ main(int argc, char **argv)
         "threading",
         "software substrate of the concurrent RSU-G array (Sec. II-C)");
     std::printf("grid %dx%d, %d sweeps, %d hardware threads, simd "
-                "backend %s, energy cache %s\n",
-                size, size, sweeps, hw, backend,
-                energy_cache ? "on" : "off");
+                "backend %s\n",
+                size, size, sweeps, hw, backend);
 
     // Thread counts 1/2/4/N, deduplicated and capped at the machine.
     std::set<int> thread_set{1, 2, 4, hw};
@@ -234,8 +203,7 @@ main(int argc, char **argv)
     mrf::MrfProblem stereo = apps::buildStereoProblem(scene);
 
     // Stereo at the RSU's packed-lane label count: the workload the
-    // categorical fast path (and its quantize/classify row cache) is
-    // built for.
+    // categorical fast path is built for.
     img::StereoSceneSpec fspec = sspec;
     fspec.numLabels = 16;
     img::StereoScene fscene = img::makeStereoScene(fspec, seed + 17);
@@ -252,8 +220,6 @@ main(int argc, char **argv)
     };
     mrf::SolverConfig dcfg = apps::defaultDenoisingSolver(sweeps, seed);
     mrf::SolverConfig scfg = apps::defaultStereoSolver(sweeps, seed);
-    dcfg.energyCache = energy_cache;
-    scfg.energyCache = energy_cache;
 
     std::vector<Workload> workloads;
     if (!sampler_arg.empty()) {
@@ -289,11 +255,9 @@ main(int argc, char **argv)
                  "  \"simd_backend\": \"%s\",\n"
                  "  \"grid\": [%d, %d],\n  \"sweeps\": %d,\n"
                  "  \"seed\": %llu,\n  \"hardware_threads\": %d,\n"
-                 "  \"energy_cache\": %s,\n"
                  "  \"workloads\": [",
                  backend, size, size, sweeps,
-                 static_cast<unsigned long long>(seed), hw,
-                 energy_cache ? "true" : "false");
+                 static_cast<unsigned long long>(seed), hw);
 
     bool first_workload = true;
     for (const Workload &w : workloads) {
@@ -304,10 +268,8 @@ main(int argc, char **argv)
         // Serial reference: the historical single-stream path.
         RunResult serial =
             measure(*w.problem, w.factory, w.cfg, 1, 0);
-        std::printf("  serial (reference)   %8.3f s  %12.0f px/s  "
-                    "cache-hit %5.1f%%\n",
-                    serial.seconds, serial.pixelsPerSec,
-                    100.0 * serial.cacheHitRate);
+        std::printf("  serial (reference)   %8.3f s  %12.0f px/s\n",
+                    serial.seconds, serial.pixelsPerSec);
 
         std::vector<RunResult> runs;
         for (int t : thread_set)
@@ -329,11 +291,10 @@ main(int argc, char **argv)
             "      \"sampler\": \"%s\",\n"
             "      \"race_mode\": \"%s\",\n"
             "      \"serial\": {\"seconds\": %.6f, "
-            "\"pixels_per_s\": %.1f, "
-            "\"energy_cache_hit_rate\": %.4f},\n      \"runs\": [",
+            "\"pixels_per_s\": %.1f},\n      \"runs\": [",
             first_workload ? "" : ",", w.name,
             w.problem->numLabels(), w.sampler, w.raceMode,
-            serial.seconds, serial.pixelsPerSec, serial.cacheHitRate);
+            serial.seconds, serial.pixelsPerSec);
         first_workload = false;
         for (std::size_t i = 0; i < runs.size(); ++i) {
             const RunResult &r = runs[i];
@@ -342,11 +303,10 @@ main(int argc, char **argv)
                 "%s\n        {\"threads\": %d, \"stripes\": %d, "
                 "\"shards\": %d, \"halo_wait_ns\": %llu, "
                 "\"seconds\": %.6f, \"pixels_per_s\": %.1f, "
-                "\"energy_cache_hit_rate\": %.4f, "
                 "\"speedup_vs_serial\": %.3f}",
                 i == 0 ? "" : ",", r.threads, r.stripes, r.shards,
                 static_cast<unsigned long long>(r.haloWaitNs),
-                r.seconds, r.pixelsPerSec, r.cacheHitRate,
+                r.seconds, r.pixelsPerSec,
                 serial.seconds / r.seconds);
         }
         std::fprintf(f, "\n      ]\n    }");

@@ -1,7 +1,6 @@
 #include "core/race_fastpath.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 
@@ -336,29 +335,16 @@ RaceFastPath::resolve(const RsuConfig &cfg)
     return false;
 }
 
-namespace {
-
-/** Process-wide bind-generation counter: every real alphabet rebuild
- *  anywhere gets a fresh nonzero stamp, so cached classify words can
- *  never alias across instances (a slab that migrates between
- *  samplers just reclassifies once). */
-std::atomic<std::uint64_t> g_bindGen{0};
-
-} // namespace
-
 void
 RaceFastPath::bindRateTable(std::span<const double> rate_table)
 {
     // Content-identical rebind: revisited annealing rungs (and the
     // tEnd floor) reproduce the exact same quantized rate table, so
-    // keep the bound alphabet, class map AND generation stamp — that
-    // is what lets row-cache entries survive temperature revisits.
-    if (bindGen_ != 0 && boundTable_.size() == rate_table.size() &&
-        std::equal(rate_table.begin(), rate_table.end(),
-                   boundTable_.begin()))
+    // keep the bound alphabet and class map as they are.
+    if (!boundTable_.empty() &&
+        std::ranges::equal(rate_table, boundTable_))
         return;
     boundTable_.assign(rate_table.begin(), rate_table.end());
-    bindGen_ = g_bindGen.fetch_add(1, std::memory_order_relaxed) + 1;
 
     // Distinct rates of the new table.
     std::vector<double> distinct(rate_table.begin(),
@@ -424,45 +410,6 @@ RaceFastPath::bindRateTable(std::span<const double> rate_table)
         for (std::size_t i = 0; i < rate_table.size(); ++i)
             classBytes_[i] =
                 static_cast<std::uint8_t>(classOf_[i]);
-    }
-    // Step encoding of classBytes_ for the gather-free classify
-    // kernel.  A rate table that decays with energy yields a class
-    // map with one contiguous run per reachable class (<= 8 runs for
-    // the packed lane), so the encoding always fits; the run scan
-    // below validates rather than assumes, and any exotic map just
-    // keeps the table-gather lane.
-    rangeClsOk_ = false;
-    if (packedOk_ && rate_table.size() <= 256) {
-        simd::RangeClassifier rc;
-        rc.base = classBytes_[0];
-        rc.value[0] = rc.base;
-        rc.numValues = 1;
-        std::uint8_t prev = rc.base;
-        bool ok = true;
-        for (std::size_t q = 1; q < rate_table.size(); ++q) {
-            const std::uint8_t c = classBytes_[q];
-            if (c == prev)
-                continue;
-            if (rc.numSteps == 7) {
-                ok = false;
-                break;
-            }
-            rc.step[rc.numSteps] = static_cast<std::uint8_t>(q);
-            rc.delta[rc.numSteps] =
-                static_cast<std::uint8_t>(c - prev);
-            ++rc.numSteps;
-            // Segment semantics: value[j] is the class of the j-th
-            // run (numValues == numSteps + 1), which is what lets
-            // the SIMD kernel read each segment's population off the
-            // boundary masks.  A class repeated in non-adjacent runs
-            // simply accumulates into the same count byte.
-            rc.value[rc.numValues++] = c;
-            prev = c;
-        }
-        if (ok) {
-            rangeCls_ = rc;
-            rangeClsOk_ = true;
-        }
     }
 }
 
@@ -690,7 +637,7 @@ RaceFastPath::raceEnergiesRow(const float *energies, double top,
     rowSlot_.resize(n);
     kern.quantizeClassifyRow(energies, top, subtract_min,
                              classBytes_.data(), n, m,
-                             rowWords_.data(), nullptr, 0);
+                             rowWords_.data());
     for (std::size_t p = 0; p < n; ++p) {
         const std::size_t slot = packedSlot(rowWords_[3 * p]);
         rowSlot_[p] = static_cast<std::uint32_t>(slot);
@@ -707,117 +654,6 @@ RaceFastPath::raceEnergiesRow(const float *energies, double top,
         out[p] = drawPacked(rowWords_[3 * p], rowWords_[3 * p + 1],
                             rowWords_[3 * p + 2], m, u + p * draws,
                             rowSlot_[p]);
-}
-
-void
-RaceFastPath::raceEnergiesRowCached(const float *energies, double top,
-                                    bool subtract_min, std::size_t n,
-                                    std::size_t m, const double *u,
-                                    RaceOutcome *out,
-                                    std::uint64_t *cache,
-                                    const std::uint64_t *dirty)
-{
-    RETSIM_ASSERT(packedOk_ && m <= 16 && top <= 255.0,
-                  "raceEnergiesRowCached outside the packed lane");
-    // Nonzero sentinel for word 0: a zero-filled slab can never fake
-    // a valid entry ("RSUCACHE" minus the trailing E, ASCII).
-    constexpr std::uint64_t kMagic = 0x52535543414348ULL;
-    enum : std::uint8_t { kDraw = 0, kClassify = 1, kMiss = 2 };
-    const unsigned draws = drawsPerPixel_;
-    const auto &kern = simd::kernels();
-    rowWords_.resize(3 * n);
-    rowSlot_.resize(n);
-    rowState_.resize(n);
-    for (std::size_t p = 0; p < n; ++p) {
-        const std::uint64_t *e = cache + p * kRowCacheWords;
-        const bool changed =
-            dirty && ((dirty[p >> 6] >> (p & 63)) & 1);
-        rowState_[p] = (changed || e[0] != kMagic) ? kMiss
-                       : (e[1] == bindGen_)        ? kDraw
-                                                   : kClassify;
-    }
-    // Contiguous same-state runs batch through one kernel dispatch
-    // each, so the common whole-row cases (everything a draw hit at a
-    // stable binding; everything a classify hit after a rebind; a
-    // cold slab) run at full vector width instead of per-pixel.
-    for (std::size_t p = 0; p < n;) {
-        const std::uint8_t st = rowState_[p];
-        std::size_t end = p + 1;
-        while (end < n && rowState_[end] == st)
-            ++end;
-        const std::size_t len = end - p;
-        std::uint64_t *entry = cache + p * kRowCacheWords;
-        std::uint64_t *words = rowWords_.data() + 3 * p;
-        if (st == kDraw) {
-            // The alphabet binding is unchanged, so the cached
-            // classify words are exactly what the fused kernel would
-            // recompute; the draw pass below reads them straight off
-            // the slab, so a draw hit moves no words at all.
-            rowCacheStats_.drawHits += len;
-        } else if (st == kClassify) {
-            // Energies unchanged, binding rebuilt: reclassify the
-            // cached quantized bytes (pure integer, no float plane
-            // touch, no quantize kernel).  The step-encoded lane is
-            // byte-compare only (no gathers); both produce words
-            // bit-identical to the fused quantize+classify.
-            if (rangeClsOk_)
-                kern.classifyRangeRow(rangeCls_, entry + 2,
-                                      kRowCacheWords, len, m, words);
-            else
-                kern.classifyPackedRow(entry + 2, kRowCacheWords,
-                                       classBytes_.data(), len, m,
-                                       words);
-            for (std::size_t i = 0; i < len; ++i) {
-                std::uint64_t *e = entry + i * kRowCacheWords;
-                e[1] = bindGen_;
-                e[4] = words[3 * i];
-                e[5] = words[3 * i + 1];
-                e[6] = words[3 * i + 2];
-            }
-            rowCacheStats_.classifyHits += len;
-        } else {
-            // Miss: the same fused quantize + classify dispatch as
-            // the uncached row, additionally packing the based q
-            // bytes straight into the cache entries for future
-            // classify hits.
-            kern.quantizeClassifyRow(energies + p * m, top,
-                                     subtract_min, classBytes_.data(),
-                                     len, m, words, entry + 2,
-                                     kRowCacheWords);
-            for (std::size_t i = 0; i < len; ++i) {
-                std::uint64_t *e = entry + i * kRowCacheWords;
-                e[0] = kMagic;
-                e[1] = bindGen_;
-                e[4] = words[3 * i];
-                e[5] = words[3 * i + 1];
-                e[6] = words[3 * i + 2];
-            }
-            rowCacheStats_.misses += len;
-        }
-        // Memo warm-up fused into the run walk (one less traversal
-        // of the slab): by the draw pass below, each pixel's memo
-        // pair is an L1/L2 hit instead of a serialized probe.  The
-        // count word lives in the slab for every state — classify
-        // and miss runs wrote it back just above.
-        for (std::size_t i = p; i < end; ++i) {
-            const std::size_t slot =
-                packedSlot(cache[i * kRowCacheWords + 4]);
-            rowSlot_[i] = static_cast<std::uint32_t>(slot);
-#if defined(__GNUC__) || defined(__clang__)
-            const char *pair =
-                reinterpret_cast<const char *>(&packedMemo_[slot]);
-            __builtin_prefetch(pair);
-            __builtin_prefetch(pair + 64);
-            __builtin_prefetch(pair + 128);
-#endif
-        }
-        p = end;
-    }
-    for (std::size_t p = 0; p < n; ++p) {
-        const std::uint64_t *e = cache + p * kRowCacheWords;
-        out[p] = drawPacked(e[4], e[5], e[6], m, u + p * draws,
-                            rowSlot_[p]);
-    }
 }
 
 RaceOutcome

@@ -167,38 +167,6 @@ class RaceFastPath
   public:
     explicit RaceFastPath(const RsuConfig &cfg);
 
-    /** Words per pixel of the caller-owned row cache consumed by
-     *  raceEnergiesRowCached(): magic, bind generation, two packed
-     *  quantized-byte words (q - base of up to 16 labels) and the
-     *  three classify words (count word + two label->class words). */
-    static constexpr std::size_t kRowCacheWords = 7;
-
-    /** Cumulative row-cache traffic (raceEnergiesRowCached only). */
-    struct RowCacheStats
-    {
-        std::uint64_t drawHits = 0;     ///< classify words reused
-        std::uint64_t classifyHits = 0; ///< quantized bytes reused
-        std::uint64_t misses = 0;       ///< full quantize + classify
-    };
-
-    const RowCacheStats &rowCacheStats() const
-    {
-        return rowCacheStats_;
-    }
-
-    /** Monotone stamp of the currently bound rate alphabet; bumped on
-     *  every real bindRateTable() rebuild (content-identical rebinds
-     *  keep it), never 0.  Cached classify words carry the stamp they
-     *  were built under. */
-    std::uint64_t bindGen() const { return bindGen_; }
-
-    /** Whether a pixel of @p m labels takes the packed lane under the
-     *  currently bound alphabet (raceEnergiesRowCached requires it). */
-    bool packedEligible(std::size_t m) const
-    {
-        return packedOk_ && m <= 16;
-    }
-
     /** Can this config be served by the fast path at all?  Float
      *  time always can (on-the-fly CDF over the rates); binned time
      *  requires rates drawn from the finite quantized alphabet
@@ -279,29 +247,6 @@ class RaceFastPath
                          RaceOutcome *out);
 
     /**
-     * raceEnergiesRow plus a sweep-persistent per-pixel derived-state
-     * cache: @p cache holds kRowCacheWords u64 per pixel (zero-filled
-     * = empty) and @p dirty — when non-null — is a bitset (bit p =
-     * pixel p) of pixels whose energies changed since the cache words
-     * were written; null means nothing changed.  Clean pixels skip
-     * the quantize pass (their packed q - base bytes are cached) and,
-     * when the bind generation also matches, the classify pass too —
-     * the draw runs straight off the cached count/class words.
-     * Result-identical to raceEnergiesRow on the same inputs: the
-     * cached bytes/words are exactly what the fused kernel would
-     * recompute (quantization depends only on the energies and the
-     * fixed top/subtract_min; classification additionally on the
-     * bound alphabet, which the generation stamp guards).  Requires
-     * packedEligible(m) and top <= 255 (q - base must fit a byte).
-     */
-    void raceEnergiesRowCached(const float *energies, double top,
-                               bool subtract_min, std::size_t n,
-                               std::size_t m, const double *u,
-                               RaceOutcome *out,
-                               std::uint64_t *cache,
-                               const std::uint64_t *dirty);
-
-    /**
      * Float-time race over one pixel's absolute rates: one uniform
      * inverts the prefix-sum CDF, realizing P(i) = rate_i /
      * sum(rate) (rates <= 0 never win; winner -1 when none is
@@ -354,8 +299,6 @@ class RaceFastPath
     unsigned drawsPerPixel_ = 1;
     double tMax_ = 0.0; ///< window length in bins
     std::uint64_t modeWord_ = 0;
-    std::uint64_t bindGen_ = 0; ///< 0 until the first bind
-    RowCacheStats rowCacheStats_;
     /** Content of the last real bind, for the rebind early-out. */
     std::vector<double> boundTable_;
 
@@ -365,12 +308,6 @@ class RaceFastPath
     /** classOf_ as bytes, padded 8 past the end for the fused
      *  kernel's 32-bit gathers; built only for the packed lane. */
     std::vector<std::uint8_t> classBytes_;
-    /** classBytes_ re-encoded as a step function for the gather-free
-     *  classify kernel; valid only while rangeClsOk_ (the table is
-     *  monotone in q with <= 8 runs — always, for rate tables that
-     *  decay with energy). */
-    simd::RangeClassifier rangeCls_;
-    bool rangeClsOk_ = false;
     std::vector<double> tieP_;           ///< per class 1 - e^{-rate}
     bool packedOk_ = false;   ///< alphabet fits the packed lane
     int zeroClass_ = -1;      ///< alphabet index of the rate-0 class
@@ -405,9 +342,6 @@ class RaceFastPath
     // triples, the quantizeClassifyRow kernel layout) + memo slots.
     std::vector<std::uint64_t> rowWords_;
     std::vector<std::uint32_t> rowSlot_;
-    /** Per-pixel cache disposition of the current cached row
-     *  (draw hit / classify hit / miss), run-length batched. */
-    std::vector<std::uint8_t> rowState_;
     // raceEnergiesRow fallback scratch: one pixel's quantized plane.
     std::vector<double> quantScratch_;
 

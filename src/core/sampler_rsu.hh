@@ -63,30 +63,6 @@ class RsuSampler : public mrf::LabelSampler
                    double temperature, std::span<const int> current,
                    std::span<int> out, rng::Rng &gen) override;
 
-    /** The binned fast path caches 7 words per pixel (see
-     *  RaceFastPath::kRowCacheWords): quantized bytes survive any
-     *  temperature change, classify words survive until the rate
-     *  alphabet really rebinds.  Needs the packed lane (m <= 16) and
-     *  byte-sized quantized energies (energyBits <= 8). */
-    std::size_t rowCacheWords(int numLabels) const override;
-
-    /** Cached row twin: serves clean pixels from the per-pixel key
-     *  cache; bit-identical outputs and RNG consumption to
-     *  sampleRow(). */
-    void sampleRowCached(std::span<const float> energies,
-                         int numLabels, double temperature,
-                         std::span<const int> current,
-                         std::span<int> out, rng::Rng &gen,
-                         std::span<std::uint64_t> cache,
-                         const std::uint64_t *dirty) override;
-
-    /** Row-cache traffic of the fast path (null when the sampler has
-     *  no fast path); feeds the kernel bench's hit-rate columns. */
-    const RaceFastPath::RowCacheStats *rowCacheStats() const
-    {
-        return fast_ ? &fast_->rowCacheStats() : nullptr;
-    }
-
     std::string name() const override;
 
     /** Fold a stripe clone's counters back into this sampler. */

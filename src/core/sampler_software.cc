@@ -1,8 +1,6 @@
 #include "core/sampler_software.hh"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
 
 #include "rng/distributions.hh"
 #include "simd/kernels.hh"
@@ -98,80 +96,6 @@ SoftwareSampler::invertCdf(const double *w, std::size_t m, double u01)
         }
     }
     return chosen;
-}
-
-std::size_t
-SoftwareSampler::rowCacheWords(int numLabels) const
-{
-    return static_cast<std::size_t>(numLabels) + 1;
-}
-
-void
-SoftwareSampler::sampleRowCached(std::span<const float> energies,
-                                 int numLabels, double temperature,
-                                 std::span<const int> current,
-                                 std::span<int> out, rng::Rng &gen,
-                                 std::span<std::uint64_t> cache,
-                                 const std::uint64_t *dirty)
-{
-    const std::size_t n = out.size();
-    const std::size_t m = static_cast<std::size_t>(numLabels);
-    const std::size_t words = m + 1;
-    if (n == 0)
-        return;
-    if (cache.size() < n * words) {
-        sampleRow(energies, numLabels, temperature, current, out,
-                  gen);
-        return;
-    }
-    RETSIM_ASSERT(numLabels >= 1, "no labels to sample");
-    RETSIM_ASSERT(energies.size() == n * m && current.size() == n,
-                  "batch span sizes disagree");
-    RETSIM_ASSERT(temperature > 0.0, "temperature must be positive");
-
-    uniforms_.resize(n);
-    gen.fillUniform(uniforms_);
-    samples_ += n;
-
-    // Per-pixel record: [0] the temperature's bit pattern (T > 0, so
-    // a zero-filled slab can never fake validity), [1..m] the pixel's
-    // Boltzmann weights.  A clean pixel at an unchanged temperature
-    // reuses its weights — no min scan, no division, no exp; dirty
-    // runs go through the same fused kernel sampleRow uses, so the
-    // materialized plane is byte-identical either way.
-    const std::uint64_t tbits =
-        std::bit_cast<std::uint64_t>(temperature);
-    weights_.resize(n * m);
-    std::size_t p = 0;
-    while (p < n) {
-        std::uint64_t *slot = cache.data() + p * words;
-        const bool stale =
-            (dirty && ((dirty[p >> 6] >> (p & 63)) & 1)) ||
-            slot[0] != tbits;
-        if (!stale) {
-            std::memcpy(weights_.data() + p * m, slot + 1,
-                        m * sizeof(double));
-            ++p;
-            continue;
-        }
-        std::size_t q = p + 1;
-        while (q < n &&
-               (((dirty ? (dirty[q >> 6] >> (q & 63)) & 1 : 0)) ||
-                cache[q * words] != tbits))
-            ++q;
-        simd::kernels().gibbsWeightsRow(energies.data() + p * m,
-                                        q - p, m, temperature,
-                                        weights_.data() + p * m);
-        for (std::size_t r = p; r < q; ++r) {
-            std::uint64_t *s = cache.data() + r * words;
-            s[0] = tbits;
-            std::memcpy(s + 1, weights_.data() + r * m,
-                        m * sizeof(double));
-        }
-        p = q;
-    }
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = invertCdf(weights_.data() + i * m, m, uniforms_[i]);
 }
 
 void

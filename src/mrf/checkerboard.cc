@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "mrf/checkerboard_detail.hh"
-#include "mrf/energy_cache.hh"
 #include "mrf/run_frame.hh"
 #include "mrf/solver_telemetry.hh"
 #include "obs/metrics.hh"
@@ -67,38 +66,12 @@ StripeEngine::StripeEngine(const SolverConfig &config,
         return;
     const int m = problem.numLabels();
     const int width = problem.width();
-    const int height = problem.height();
-    const int k1 = k0 + static_cast<int>(samplers.size());
-    rowLo_ = stripeRowStart(k0, height, stripes);
-    rowHi_ = stripeRowStart(k1, height, stripes);
-
-    // Flip-aware energy-plane cache (see energy_cache.hh).  Per-run
-    // state: fresh all-dirty planes plus a shadow-label sync at entry,
-    // so resume replay stays byte-identical to the uninterrupted run.
-    // The sampler key arena rides alongside, one slab per (row,
-    // color), zero-filled (all invalid); slab ownership is fixed
-    // across sweeps so per-slab bind-generation stamps stay coherent.
-    // The cache spans the full grid, but only the engine's own rows
-    // are ever refreshed.
-    if (usesEnergyCache(config, m)) {
-        cache_ = std::make_unique<EnergyPlaneCache>(width, height, m,
-                                                    /*phases=*/2);
-        cache_->syncShadow(labels);
-        kcw_ = samplers.front()->rowCacheWords(m);
-        if (kcw_ > 0)
-            keyArena_.assign(static_cast<std::size_t>(height) * 2 *
-                                 static_cast<std::size_t>(
-                                     (width + 1) / 2) *
-                                 kcw_,
-                             0);
-        keyStride_ = static_cast<std::size_t>((width + 1) / 2) * kcw_;
-    }
 
     obs::Registry &reg = obs::Registry::global();
     execs_.reserve(samplers.size());
     for (LabelSampler *s : samplers)
         execs_.push_back(
-            Executor{s, RowArena(width, m), {}, {}, reg.makeShard()});
+            Executor{s, RowArena(width, m), {}, reg.makeShard()});
 
     // parallelFor's caller participates, so a pool of threads-1
     // workers yields exactly `threads` concurrent executors.
@@ -124,22 +97,10 @@ StripeEngine::runStripe(std::size_t i, int sweep, int color,
     rng::Xoshiro256 stripeGen(
         stripeStreamSeed(config_.seed, sweep, color, k));
     rng::Rng &gen = serialGen_ ? *serialGen_ : stripeGen;
-    CacheSlot slot;
-    CacheSlot *cs = nullptr;
-    if (cache_) {
-        slot = CacheSlot{cache_.get(),
-                         keyArena_.empty() ? nullptr : keyArena_.data(),
-                         kcw_,
-                         keyStride_,
-                         y0,
-                         y1,
-                         &e.deferred};
-        cs = &slot;
-    }
     for (int y = y0; y < y1; ++y) {
         const StripeCounters rc =
             updateRow(problem_, *e.sampler, labels_, y, color,
-                      temperature, e.arena, gen, cs);
+                      temperature, e.arena, gen);
         e.counters.pixelUpdates += rc.pixelUpdates;
         e.counters.labelChanges += rc.labelChanges;
         e.metrics.add(ids_.pixelUpdates, rc.pixelUpdates);
@@ -157,18 +118,6 @@ StripeEngine::runPhase(int sweep, int color, double temperature)
     else
         for (std::size_t i = 0; i < execs_.size(); ++i)
             runStripe(i, sweep, color, temperature);
-    if (!cache_)
-        return;
-    for (Executor &e : execs_) {
-        std::size_t keep = 0;
-        for (std::uint64_t p : e.deferred) {
-            const int y = static_cast<int>(p & 0xffffffffu);
-            if (y >= rowLo_ && y < rowHi_)
-                e.deferred[keep++] = p;
-        }
-        e.deferred.resize(keep);
-        cache_->applyDeferred(e.deferred);
-    }
 }
 
 StripeCounters
@@ -200,13 +149,6 @@ StripeEngine::samplerStats() const
     for (const Executor &e : execs_)
         s += e.sampler->stats();
     return s;
-}
-
-void
-StripeEngine::foldCacheStats(bool perRun) const
-{
-    if (cache_)
-        detail::foldCacheStats(cache_->stats(), perRun);
 }
 
 } // namespace detail
@@ -251,12 +193,11 @@ CheckerboardGibbsSolver::run(const MrfProblem &problem,
         }
         frame.endSweep(s, temperature,
                        trace ? problem.totalEnergy(labels) : 0.0,
-                       frame.samplerStats(), engine.cacheStats());
+                       frame.samplerStats());
         if (detail::shouldCheckpoint(config_, s + 1))
             frame.emitCheckpoint(s + 1, frame.cloneStates());
     }
 
-    engine.foldCacheStats();
     frame.finish();
     return labels;
 }

@@ -4,10 +4,9 @@
  * (checkerboard) Gibbs schedule.
  *
  * StripeEngine owns the executor state for a range [k0, k1) of global
- * row stripes — one row arena, trace counter pair, deferred-mark list
- * and metrics shard per stripe, the flip-aware energy-plane cache and
- * sampler key arena, and the thread pool — and runs one color phase
- * over them.  Every chromatic run is this engine:
+ * row stripes — one row arena, trace counter pair and metrics shard
+ * per stripe, and the thread pool — and runs one color phase over
+ * them.  Every chromatic run is this engine:
  *
  *   - CheckerboardGibbsSolver striped: one engine over [0, S);
  *   - CheckerboardGibbsSolver serial (threads == 1, stripes == 0): one
@@ -36,7 +35,6 @@
 #include <vector>
 
 #include "img/image.hh"
-#include "mrf/energy_cache.hh"
 #include "mrf/gibbs.hh"
 #include "mrf/problem.hh"
 #include "mrf/sampler.hh"
@@ -114,52 +112,21 @@ struct RowArena
 };
 
 /**
- * One executor's view of the flip-aware energy-plane cache: the
- * shared cache plus the sampler key-cache arena and this executor's
- * row-ownership range for the stripe-boundary mark exchange (see
- * energy_cache.hh).  Serial paths own the whole grid and never defer.
- */
-struct CacheSlot
-{
-    EnergyPlaneCache *cache = nullptr;
-    std::uint64_t *keys = nullptr; ///< all slabs; null if kcw == 0
-    std::size_t kcw = 0;           ///< key words per pixel
-    std::size_t keyStride = 0;     ///< key words per slab
-    int rowLo = 0;
-    int rowHi = 0;
-    std::vector<std::uint64_t> *deferred = nullptr;
-};
-
-/**
  * Update one color-phase row through the batched sampler path and
  * return the per-row counter deltas.  Same-color pixels share no
  * edges, so gathering the whole row's conditionals before any write
  * is exactly what the scalar pixel loop computed.
- *
- * With a CacheSlot the row's conditionals come from the incremental
- * plane (only dirty pixels recomputed, via the shadow-label fused
- * kernel) and the sampler runs through sampleRowCached with the
- * slab's key arena and the dirty bitset — everything downstream is
- * bit-identical to the uncached path by the sampler contract.
  */
 inline StripeCounters
 updateRow(const MrfProblem &problem, LabelSampler &sampler,
           img::LabelMap &labels, int y, int color, double temperature,
-          RowArena &arena, rng::Rng &gen, CacheSlot *cs)
+          RowArena &arena, rng::Rng &gen)
 {
     StripeCounters c;
     const int m = problem.numLabels();
     const int x0 = (y + color) % 2;
-    int n;
-    const float *eplane;
-    if (cs) {
-        n = cs->cache->refreshRow(problem, labels, y, color);
-        eplane = cs->cache->plane(y, color);
-    } else {
-        n = problem.conditionalEnergiesRow(labels, y, x0, 2,
-                                           arena.energies);
-        eplane = arena.energies.data();
-    }
+    const int n = problem.conditionalEnergiesRow(labels, y, x0, 2,
+                                                 arena.energies);
     if (n == 0)
         return c;
     for (int i = 0; i < n; ++i)
@@ -170,38 +137,15 @@ updateRow(const MrfProblem &problem, LabelSampler &sampler,
                                  static_cast<std::size_t>(n));
     std::span<int> chosen(arena.chosen.data(),
                           static_cast<std::size_t>(n));
-    std::span<const float> energies(eplane,
+    std::span<const float> energies(arena.energies.data(),
                                     static_cast<std::size_t>(n) * m);
-    if (cs) {
-        std::span<std::uint64_t> keys;
-        if (cs->keys)
-            keys = std::span<std::uint64_t>(
-                cs->keys +
-                    (static_cast<std::size_t>(y) * 2 + color) *
-                        cs->keyStride,
-                static_cast<std::size_t>(n) * cs->kcw);
-        sampler.sampleRowCached(energies, m, temperature, current,
-                                chosen, gen, keys,
-                                cs->cache->rowDirty(y, color));
-        cs->cache->clearRow(y, color);
-    } else {
-        sampler.sampleRow(energies, m, temperature, current, chosen,
-                          gen);
-    }
+    sampler.sampleRow(energies, m, temperature, current, chosen, gen);
 
     for (int i = 0; i < n; ++i) {
-        const int x = x0 + 2 * i;
         const int pick = chosen[static_cast<std::size_t>(i)];
-        labels(x, y) = pick;
-        if (pick != current[static_cast<std::size_t>(i)]) {
+        labels(x0 + 2 * i, y) = pick;
+        if (pick != current[static_cast<std::size_t>(i)])
             ++c.labelChanges;
-            if (cs) {
-                cs->cache->setShadow(x, y, pick);
-                cs->cache->markFlip(x, y, Neighborhood::Four,
-                                    cs->rowLo, cs->rowHi,
-                                    cs->deferred);
-            }
-        }
     }
     c.pixelUpdates = static_cast<std::uint64_t>(n);
     return c;
@@ -238,13 +182,8 @@ class StripeEngine
     StripeEngine(const StripeEngine &) = delete;
     StripeEngine &operator=(const StripeEngine &) = delete;
 
-    /**
-     * One color phase: every stripe, across the pool when there is
-     * one, then the stripe-boundary dirty marks that land in the
-     * engine's own rows.  Marks into rows outside them are dropped
-     * uncounted; the sharded solver re-derives them on the owning rank
-     * from its ghost-row diff.
-     */
+    /** One color phase: every stripe, across the pool when there is
+     *  one. */
     void runPhase(int sweep, int color, double temperature);
 
     /** Sum and reset the per-stripe trace counters. */
@@ -256,20 +195,6 @@ class StripeEngine
     /** Summed stats of the samplers the executors run. */
     SamplerStats samplerStats() const;
 
-    /** Fold the cache traffic into the registry at run end;
-     *  @p perRun = false leaves out the rebuild and shadow-sync counts
-     *  (see foldCacheStats). */
-    void foldCacheStats(bool perRun = true) const;
-
-    /** The energy-plane cache, or null when it is off or the engine
-     *  owns no stripes. */
-    EnergyPlaneCache *cache() { return cache_.get(); }
-    const EnergyCacheStats *
-    cacheStats() const
-    {
-        return cache_ ? &cache_->stats() : nullptr;
-    }
-
   private:
     /** One stripe's private state; executors never share one. */
     struct Executor
@@ -277,11 +202,6 @@ class StripeEngine
         LabelSampler *sampler;
         RowArena arena;
         StripeCounters counters;
-        /** Flips on a stripe-boundary row must dirty the neighbor
-         *  pixel in the adjacent stripe, whose bitset words belong to
-         *  another executor during the phase; they queue here and
-         *  land at the phase join, before anyone reads those rows. */
-        std::vector<std::uint64_t> deferred;
         /** Lock-free metrics, folded into the registry at the join. */
         obs::MetricShard metrics;
     };
@@ -302,13 +222,8 @@ class StripeEngine
     const SolverMetricIds &ids_ = SolverMetricIds::get();
     const int stripes_;
     const int k0_;
-    int rowLo_ = 0, rowHi_ = 0;     ///< rows of stripes [k0, k1)
-    rng::Xoshiro256 *serialGen_;    ///< null = per-phase streams
+    rng::Xoshiro256 *serialGen_; ///< null = per-phase streams
     std::vector<Executor> execs_;
-    std::unique_ptr<EnergyPlaneCache> cache_;
-    std::vector<std::uint64_t> keyArena_;
-    std::size_t kcw_ = 0;
-    std::size_t keyStride_ = 0;
     std::unique_ptr<util::ThreadPool> pool_;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "mrf/energy_cache.hh"
 #include "mrf/run_frame.hh"
 #include "mrf/solver_telemetry.hh"
 #include "obs/metrics.hh"
@@ -49,34 +48,13 @@ GibbsSolver::run(const MrfProblem &problem, LabelSampler &sampler,
     const std::uint64_t start_updates = trace ? trace->pixelUpdates : 0;
     const std::uint64_t start_changes = trace ? trace->labelChanges : 0;
 
-    // Flip-aware energy-plane cache (see energy_cache.hh): serve each
-    // pixel's conditional energies from the sweep-persistent plane
-    // unless a neighborhood label write dirtied it.  Byte-identical
-    // to the uncached path.
-    std::unique_ptr<EnergyPlaneCache> cache;
-    if (detail::usesEnergyCache(config_, m))
-        cache = std::make_unique<EnergyPlaneCache>(
-            problem.width(), problem.height(), m, /*phases=*/1);
-
     auto update_pixel = [&](int x, int y, double temperature) {
-        std::span<const float> e;
-        if (cache) {
-            e = std::span<const float>(
-                cache->pixelEnergies(problem, labels, x, y),
-                static_cast<std::size_t>(m));
-        } else {
-            problem.conditionalEnergies(labels, x, y, energies);
-            e = std::span<const float>(energies.data(),
-                                       energies.size());
-        }
+        problem.conditionalEnergies(labels, x, y, energies);
         int current = labels(x, y);
-        int chosen = sampler.sample(e, temperature, current, gen);
+        int chosen = sampler.sample(energies, temperature, current, gen);
         RETSIM_ASSERT(chosen >= 0 && chosen < m,
                       "sampler returned invalid label ", chosen);
         labels(x, y) = chosen;
-        if (cache && chosen != current)
-            cache->markFlip(x, y, problem.neighborhood(), 0,
-                            problem.height(), nullptr);
         if (trace) {
             ++trace->pixelUpdates;
             if (chosen != current)
@@ -109,8 +87,7 @@ GibbsSolver::run(const MrfProblem &problem, LabelSampler &sampler,
         }
         frame.endSweep(s, temperature,
                        trace ? problem.totalEnergy(labels) : 0.0,
-                       sampler.stats(),
-                       cache ? &cache->stats() : nullptr);
+                       sampler.stats());
         if (detail::shouldCheckpoint(config_, s + 1))
             frame.emitCheckpoint(s + 1);
     }
@@ -122,8 +99,6 @@ GibbsSolver::run(const MrfProblem &problem, LabelSampler &sampler,
         reg.add(ids.pixelUpdates, trace->pixelUpdates - start_updates);
         reg.add(ids.labelChanges, trace->labelChanges - start_changes);
     }
-    if (cache)
-        detail::foldCacheStats(cache->stats());
     return labels;
 }
 

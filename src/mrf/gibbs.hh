@@ -87,20 +87,6 @@ struct SolverConfig
      */
     int stripes = 0;
     /**
-     * Flip-aware incremental energy-plane cache: keep every pixel's
-     * conditional-energy plane across sweeps and recompute only
-     * pixels whose neighborhood changed (a label write dirties itself
-     * and its 4/8 neighbors at write time).  Results are byte-
-     * identical to the uncached path — energies are deterministic,
-     * recomputation is bit-exact and the RNG draw order is untouched
-     * — so this is purely a throughput knob; it pays off whenever the
-     * per-sweep flip rate is below ~100%, i.e. on every annealing
-     * run past the first few sweeps.  The cache is per-run state
-     * (reset all-dirty at run start, never checkpointed), so resume
-     * replay is unaffected.
-     */
-    bool energyCache = true;
-    /**
      * Called after every completed sweep with the sweep index, its
      * temperature and the labeling at that point — the hook the apps
      * use to stream per-outer-iteration quality metrics into the

@@ -130,59 +130,6 @@ MrfProblem::conditionalEnergiesRow(const img::LabelMap &labels, int y,
     return n;
 }
 
-void
-MrfProblem::conditionalEnergiesRun(const img::LabelMap &labels,
-                                   const std::uint8_t *shadow, int y,
-                                   int x0, int xStep, int i0,
-                                   int count, float *slab) const
-{
-    const int m = numLabels();
-    const std::size_t sm = static_cast<std::size_t>(m);
-    int i = i0;
-    const int end = i0 + count;
-    auto fallback = [&](int idx) {
-        conditionalEnergies(
-            labels, x0 + idx * xStep, y,
-            std::span<float>(slab + static_cast<std::size_t>(idx) * sm,
-                             sm));
-    };
-
-    if (neighborhood_ == Neighborhood::Four && y > 0 &&
-        y + 1 < height_) {
-        // x grows with i, so at most the run's first pixel sits on the
-        // left edge and its last on the right edge; everything between
-        // is interior and flows through one fused u8 dispatch.
-        if (i < end && x0 + i * xStep == 0) {
-            fallback(i);
-            ++i;
-        }
-        int last = end;
-        if (last > i && x0 + (last - 1) * xStep + 1 == width_)
-            --last;
-        if (last > i) {
-            const int xf = x0 + i * xStep;
-            const std::size_t yw =
-                static_cast<std::size_t>(y) * width_;
-            simd::kernels().energyRunU8(
-                singleton_.data() + index(xf, y, 0),
-                static_cast<std::size_t>(xStep) * sm,
-                pairwise_.row(0), sm, shadow + yw + xf - 1,
-                shadow + yw + xf + 1, shadow + yw - width_ + xf,
-                shadow + yw + width_ + xf,
-                static_cast<std::size_t>(xStep),
-                static_cast<std::size_t>(last - i),
-                slab + static_cast<std::size_t>(i) * sm);
-            i = last;
-        }
-        if (i < end)
-            fallback(i);
-        return;
-    }
-
-    for (; i < end; ++i)
-        fallback(i);
-}
-
 namespace {
 
 /** Below this pixel count the fork/join overhead beats the win. */

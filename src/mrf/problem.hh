@@ -91,23 +91,6 @@ class MrfProblem
                                std::span<float> out) const;
 
     /**
-     * Selective producer for the incremental energy-plane cache:
-     * recompute the conditional energies of the run of row-phase
-     * pixels with color-local indices [i0, i0 + count) — i.e. pixels
-     * x = x0 + i * xStep of row @p y — into the pixel-major slab at
-     * slab + i * numLabels.  Interior pixels of interior
-     * 4-neighborhood rows go through the fused energyRunU8 kernel
-     * driven by @p shadow (the 8-bit mirror of @p labels, row-major
-     * width x height); row ends and every other case fall back to
-     * conditionalEnergies.  Each pixel's result is bit-identical to a
-     * conditionalEnergies() call.
-     */
-    void conditionalEnergiesRun(const img::LabelMap &labels,
-                                const std::uint8_t *shadow, int y,
-                                int x0, int xStep, int i0, int count,
-                                float *slab) const;
-
-    /**
      * Total energy of a complete labeling (for convergence checks).
      * Large grids are reduced as one partial sum per row (computed on
      * the global thread pool) accumulated in row order, so the value

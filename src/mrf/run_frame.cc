@@ -102,8 +102,7 @@ RunFrame::samplerStats() const
 
 void
 RunFrame::endSweep(int sweep, double temperature, double energy,
-                   const SamplerStats &cum,
-                   const EnergyCacheStats *cache)
+                   const SamplerStats &cum)
 {
     if (trace) {
         trace->energyPerSweep.push_back(energy);
@@ -112,7 +111,7 @@ RunFrame::endSweep(int sweep, double temperature, double energy,
     if (telemetry.active())
         telemetry.recordSweep(sweep, temperature, energy,
                               trace->pixelUpdates, trace->labelChanges,
-                              cum, cache);
+                              cum);
     if (config_.sweepObserver)
         config_.sweepObserver(sweep, temperature, labels_);
 }

@@ -35,15 +35,6 @@ namespace retsim {
 namespace mrf {
 namespace detail {
 
-/** The flip-aware energy-plane cache runs when enabled and the labels
- *  fit its 8-bit shadow plane; otherwise solvers fall back to the
- *  uncached producers. */
-inline bool
-usesEnergyCache(const SolverConfig &config, int numLabels)
-{
-    return config.energyCache && numLabels <= 256;
-}
-
 class RunFrame
 {
   public:
@@ -72,8 +63,7 @@ class RunFrame
      * telemetry record and call the sweep observer.
      */
     void endSweep(int sweep, double temperature, double energy,
-                  const SamplerStats &cum,
-                  const EnergyCacheStats *cache);
+                  const SamplerStats &cum);
 
     /** Every stripe clone's saveState(), in stripe order. */
     std::vector<std::vector<std::uint64_t>> cloneStates() const;

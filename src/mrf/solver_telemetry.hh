@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <string>
 
-#include "mrf/energy_cache.hh"
 #include "mrf/problem.hh"
 #include "mrf/sampler.hh"
 #include "obs/metrics.hh"
@@ -37,11 +36,6 @@ struct SolverMetricIds
     obs::MetricId labelChanges;
     obs::MetricId lutHits;   ///< maintained by core::LambdaLutCache
     obs::MetricId lutMisses; ///< maintained by core::LambdaLutCache
-    obs::MetricId cacheHits;          ///< energy planes served clean
-    obs::MetricId cacheRecomputed;    ///< energy planes recomputed
-    obs::MetricId cacheInvalidations; ///< dirty marks written
-    obs::MetricId cacheRebuilds;      ///< all-dirty plane resets
-    obs::MetricId cacheShadowSyncs;   ///< full shadow-plane syncs
 
     static const SolverMetricIds &get()
     {
@@ -54,38 +48,11 @@ struct SolverMetricIds
                 r.counter("mrf.solver.label_changes"),
                 r.counter("core.lambda_lut.hits"),
                 r.counter("core.lambda_lut.misses"),
-                r.counter("mrf.energy_cache.clean_hits"),
-                r.counter("mrf.energy_cache.recomputed"),
-                r.counter("mrf.energy_cache.invalidations"),
-                r.counter("mrf.energy_cache.rebuilds"),
-                r.counter("mrf.energy_cache.shadow_syncs"),
             };
         }();
         return ids;
     }
 };
-
-/**
- * Fold a finished run's energy-cache traffic into the registry.  With
- * @p perRun = false only the traffic counters (hits, recomputed,
- * invalidations) are folded: a sharded run keeps one cache per rank,
- * and only one rank may report the single rebuild and shadow sync a
- * one-cache run records, while the traffic partitions exactly across
- * ranks.
- */
-inline void
-foldCacheStats(const EnergyCacheStats &s, bool perRun = true)
-{
-    const SolverMetricIds &ids = SolverMetricIds::get();
-    obs::Registry &reg = obs::Registry::global();
-    reg.add(ids.cacheHits, s.cleanHits);
-    reg.add(ids.cacheRecomputed, s.recomputed);
-    reg.add(ids.cacheInvalidations, s.invalidations);
-    if (!perRun)
-        return;
-    reg.add(ids.cacheRebuilds, s.rebuilds);
-    reg.add(ids.cacheShadowSyncs, s.shadowSyncs);
-}
 
 /**
  * One instance per solver run; snapshots the cumulative counters at
@@ -131,8 +98,7 @@ class SweepTelemetry
     void recordSweep(int sweep, double temperature, double energy,
                      std::uint64_t cum_updates,
                      std::uint64_t cum_changes,
-                     const SamplerStats &cum,
-                     const EnergyCacheStats *cache = nullptr)
+                     const SamplerStats &cum)
     {
         if (!rec_)
             return;
@@ -165,28 +131,6 @@ class SweepTelemetry
             {"tie_rate", static_cast<double>(d.ties) / sden},
             {"lut_hits", static_cast<double>(d_hits)},
             {"lut_misses", static_cast<double>(d_misses)}};
-        if (cache) {
-            // Per-sweep cache traffic, differenced like the sampler
-            // counters; hit rate over the planes served this sweep.
-            std::uint64_t ch = cache->cleanHits - lastCacheHits_;
-            std::uint64_t cr = cache->recomputed - lastCacheRecomputed_;
-            std::uint64_t ci =
-                cache->invalidations - lastCacheInvalidations_;
-            lastCacheHits_ = cache->cleanHits;
-            lastCacheRecomputed_ = cache->recomputed;
-            lastCacheInvalidations_ = cache->invalidations;
-            double served = static_cast<double>(ch + cr);
-            fields.push_back(
-                {"energy_cache_hits", static_cast<double>(ch)});
-            fields.push_back(
-                {"energy_cache_recomputed", static_cast<double>(cr)});
-            fields.push_back({"energy_cache_invalidations",
-                              static_cast<double>(ci)});
-            fields.push_back(
-                {"energy_cache_hit_rate",
-                 served > 0.0 ? static_cast<double>(ch) / served
-                              : 0.0});
-        }
         rec_->record(stream_, fields);
     }
 
@@ -198,9 +142,6 @@ class SweepTelemetry
     std::uint64_t lastChanges_ = 0;
     std::uint64_t lastLutHits_ = 0;
     std::uint64_t lastLutMisses_ = 0;
-    std::uint64_t lastCacheHits_ = 0;
-    std::uint64_t lastCacheRecomputed_ = 0;
-    std::uint64_t lastCacheInvalidations_ = 0;
 };
 
 } // namespace detail

@@ -24,6 +24,8 @@
 #ifndef RETSIM_SHARD_SHARD_CLI_HH
 #define RETSIM_SHARD_SHARD_CLI_HH
 
+#include <limits>
+
 #include "shard/sharded_solver.hh"
 #include "util/cli.hh"
 #include "util/logging.hh"
@@ -31,13 +33,25 @@
 namespace retsim {
 namespace shard {
 
+/** --@p flag as an int in [@p lo, INT_MAX]; anything outside is fatal
+ *  and names the flag and the value, so a huge count can never wrap
+ *  into a small valid one on the narrowing. */
+inline int
+intFlagFromCli(const util::CliArgs &args, const char *flag, long def,
+               int lo, const char *meaning)
+{
+    const long v = args.getInt(flag, def);
+    if (v < lo || v > std::numeric_limits<int>::max())
+        RETSIM_FATAL("--", flag, "=", v, " is out of range: ", meaning);
+    return static_cast<int>(v);
+}
+
 inline ShardOptions
 shardOptionsFromCli(const util::CliArgs &args)
 {
     ShardOptions options;
-    options.shards = static_cast<int>(args.getInt("shards", 1));
-    RETSIM_ASSERT(options.shards >= 1,
-                  "--shards must be a positive shard count");
+    options.shards = intFlagFromCli(args, "shards", 1, 1,
+                                    "expected a positive shard count");
     return options;
 }
 
@@ -48,10 +62,8 @@ threadsFromCli(const util::CliArgs &args)
 {
     if (!args.has("threads"))
         return -1;
-    const int threads = static_cast<int>(args.getInt("threads", 1));
-    RETSIM_ASSERT(threads >= 0,
-                  "--threads must be >= 0 (0 = one per core)");
-    return threads;
+    return intFlagFromCli(args, "threads", 1, 0,
+                          "expected >= 0 (0 = one per core)");
 }
 
 inline void

@@ -9,7 +9,6 @@
 #include "mrf/checkerboard.hh"
 #include "mrf/checkerboard_detail.hh"
 #include "mrf/checkpoint.hh"
-#include "mrf/energy_cache.hh"
 #include "mrf/run_frame.hh"
 #include "obs/metrics.hh"
 #include "shard/tile_partition.hh"
@@ -83,18 +82,6 @@ gatherNeeded(const ShardSpec &spec, const mrf::SolverConfig &config,
            mrf::detail::shouldCheckpoint(config, sweep + 1);
 }
 
-/** The rank that folds the full cache stats (including the one
- *  rebuild + one shadow sync a serial run records).  Usually rank 0;
- *  rank 0 can be empty (and cache-less) when shards > stripes. */
-int
-firstNonEmptyRank(const TilePartition &part)
-{
-    for (int j = 0; j < part.shards(); ++j)
-        if (!part.empty(j))
-            return j;
-    return 0;
-}
-
 /**
  * One rank: the phase engine over its contiguous run of global
  * stripes, a PRIVATE full-size label map whose ghost rows are
@@ -148,16 +135,7 @@ struct RankWork
         haloSendNs += nsSince(t0);
     }
 
-    /**
-     * Land one received ghost row: refresh the ghost labels and mark
-     * the adjacent inner row — the only row of ours whose planes
-     * depend on ghost labels — once per changed ghost pixel.  This
-     * re-derives the stripe-boundary marks the sending rank's engine
-     * dropped, one mark per flip as in a single-process run, so the
-     * process-wide invalidation total equals a striped run's.  The
-     * change test reads the cache's SHADOW plane, which is what the
-     * cached planes were computed against.
-     */
+    /** Land one received ghost row in this rank's label map. */
     void
     recvGhostRow(int peer, int yg)
     {
@@ -169,21 +147,8 @@ struct RankWork
         const int y = static_cast<int>(rd.u32());
         RETSIM_ASSERT(y == yg, "halo: rank ", rank, " expected row ",
                       yg, " from rank ", peer, ", got ", y);
-        const int inner = yg < lo ? lo : hi - 1;
-        mrf::EnergyPlaneCache *cache = engine.cache();
-        const std::uint8_t *shadow =
-            cache ? cache->shadow() +
-                        static_cast<std::size_t>(yg) * problem.width()
-                  : nullptr;
-        for (int x = 0; x < problem.width(); ++x) {
-            const int nv = rd.i32();
-            labels(x, yg) = nv;
-            if (shadow &&
-                shadow[x] != static_cast<std::uint8_t>(nv)) {
-                cache->setShadow(x, yg, nv);
-                cache->mark(x, inner);
-            }
-        }
+        for (int x = 0; x < problem.width(); ++x)
+            labels(x, yg) = rd.i32();
         RETSIM_ASSERT(rd.ok() && rd.atEnd(),
                       "halo: malformed payload");
     }
@@ -247,10 +212,6 @@ buildJoin(RankWork &work, const ShardSpec &spec,
         w.u64(s.samples);
         w.u64(s.noSample);
         w.u64(s.ties);
-        const mrf::EnergyCacheStats *c = work.engine.cacheStats();
-        w.u64(c ? c->cleanHits.load() : 0);
-        w.u64(c ? c->recomputed.load() : 0);
-        w.u64(c ? c->invalidations.load() : 0);
     }
     if (spec.wantEnergy) {
         w.u32(static_cast<std::uint32_t>(work.hi - work.lo));
@@ -310,7 +271,6 @@ runWorkerRank(const mrf::SolverConfig &config, const ShardSpec &spec,
                 tr.send(0, tag::kGather, buildGather(work));
         }
     }
-    work.engine.foldCacheStats(tr.rank() == firstNonEmptyRank(part));
 }
 
 } // namespace
@@ -328,7 +288,6 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
         return mrf::CheckerboardGibbsSolver(config_).run(
             problem, sampler, labels, caller_trace);
 
-    const int m = problem.numLabels();
     const int height = problem.height();
     const int width = problem.width();
     // Sharded runs ALWAYS use the striped decomposition (the
@@ -379,10 +338,6 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
         static_cast<std::size_t>(stripes));
     std::vector<double> rowEnergies(
         static_cast<std::size_t>(height), 0.0);
-    // Cumulative cache stats over all ranks, rebuilt each sweep from
-    // the JOIN frames (telemetry runs only); the telemetry record sees
-    // one cache's totals as in a striped run.
-    mrf::EnergyCacheStats aggCache;
 
     for (int s = frame.startSweep; s < config_.annealing.sweeps; ++s) {
         const double temperature = config_.annealing.temperature(s);
@@ -397,10 +352,6 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
                     problem.rowEnergy(labels, y);
         mrf::SamplerStats cum = sampler.stats();
         cum += work.engine.samplerStats();
-        const mrf::EnergyCacheStats *own = work.engine.cacheStats();
-        aggCache.cleanHits = own ? own->cleanHits.load() : 0;
-        aggCache.recomputed = own ? own->recomputed.load() : 0;
-        aggCache.invalidations = own ? own->invalidations.load() : 0;
         for (int r = 1; r < N; ++r) {
             if (part.empty(r))
                 continue;
@@ -411,9 +362,6 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
             tot.labelChanges += rd.u64();
             if (spec.wantStats) {
                 cum += mrf::SamplerStats{rd.u64(), rd.u64(), rd.u64()};
-                aggCache.cleanHits += rd.u64();
-                aggCache.recomputed += rd.u64();
-                aggCache.invalidations += rd.u64();
             }
             if (spec.wantEnergy) {
                 const int rows = static_cast<int>(rd.u32());
@@ -464,10 +412,7 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
                               r);
             }
         }
-        frame.endSweep(s, temperature, energy, cum,
-                       mrf::detail::usesEnergyCache(config_, m)
-                           ? &aggCache
-                           : nullptr);
+        frame.endSweep(s, temperature, energy, cum);
         if (mrf::detail::shouldCheckpoint(config_, s + 1)) {
             for (int k = work.k0; k < work.k1; ++k) {
                 std::vector<std::uint64_t> &state =
@@ -478,8 +423,6 @@ ShardedCheckerboardSolver::run(const mrf::MrfProblem &problem,
             frame.emitCheckpoint(s + 1, stripeState);
         }
     }
-
-    work.engine.foldCacheStats(firstNonEmptyRank(part) == 0);
 
     for (std::thread &t : workerThreads)
         t.join();

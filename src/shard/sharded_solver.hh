@@ -11,9 +11,8 @@
  * what sharding needs: a private label map whose one-row ghost zones
  * are refreshed by a synchronous exchange over an in-process
  * LoopbackMesh (shard/transport.hh) at every color-phase boundary,
- * the re-derivation of the cross-rank dirty marks from that ghost
- * diff, and the per-sweep JOIN (counter and SamplerStats folds, plain
- * sums, so every total equals the striped run's) and GATHER frames.
+ * and the per-sweep JOIN (counter and SamplerStats folds, plain sums,
+ * so every total equals the striped run's) and GATHER frames.
  *
  * Determinism contract (enforced by tools/shard_check + the CI
  * shard-equivalence leg): for ANY shard count N and intra-rank thread

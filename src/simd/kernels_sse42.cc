@@ -95,49 +95,14 @@ quantizeGatherRates(const float *e, double top, bool subtract_min,
 void
 quantizeClassifyRow(const float *e, double top, bool subtract_min,
                     const std::uint8_t *cls, std::size_t n,
-                    std::size_t m, std::uint64_t *out,
-                    std::uint64_t *qpacked, std::size_t q_stride)
+                    std::size_t m, std::uint64_t *out)
 {
     for (std::size_t p = 0; p < n; ++p) {
-        std::uint64_t *qp =
-            qpacked ? qpacked + p * q_stride : nullptr;
         detail::quantizeClassifyT<VSse42>(e + p * m, top, subtract_min,
                                       cls, m, out[3 * p],
                                       out[3 * p + 1],
-                                      out[3 * p + 2], qp,
-                                      qp ? qp + 1 : nullptr);
+                                      out[3 * p + 2]);
     }
-}
-
-void
-classifyPackedRow(const std::uint64_t *qpacked, std::size_t q_stride,
-                  const std::uint8_t *cls, std::size_t n,
-                  std::size_t m, std::uint64_t *out)
-{
-    for (std::size_t p = 0; p < n; ++p)
-        detail::classifyPackedT(qpacked[p * q_stride],
-                                qpacked[p * q_stride + 1], cls, m,
-                                out[3 * p], out[3 * p + 1],
-                                out[3 * p + 2]);
-}
-
-void
-classifyRangeRow(const RangeClassifier &rc,
-                 const std::uint64_t *qpacked, std::size_t q_stride,
-                 std::size_t n, std::size_t m, std::uint64_t *out)
-{
-    detail::classifyRangeRowSse(rc, qpacked, q_stride, n, m, out);
-}
-
-void
-energyRunU8(const float *s, std::size_t s_step, const float *pair,
-            std::size_t m, const std::uint8_t *left,
-            const std::uint8_t *right, const std::uint8_t *up,
-            const std::uint8_t *down, std::size_t idx_step,
-            std::size_t count, float *out)
-{
-    detail::energyRunU8T<VSse42>(s, s_step, pair, m, left, right, up,
-                                 down, idx_step, count, out);
 }
 
 void
@@ -159,9 +124,8 @@ tableSse42()
                                addRows5,       argmin,       quantizeEnergies,       expDrawBin,
                                ttfBins,
                                gatherRates,   quantizeGatherRates,
-                               quantizeClassifyRow, classifyPackedRow,
-                               classifyRangeRow,
-                               energyRunU8,   gibbsWeightsRow};
+                               quantizeClassifyRow,
+                               gibbsWeightsRow};
     return t;
 }
 

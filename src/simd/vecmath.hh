@@ -877,204 +877,22 @@ inline double
 quantizeClassifyT(const float *e, double top, bool subtract_min,
                   const std::uint8_t *cls, std::size_t n,
                   std::uint64_t &word, std::uint64_t &cw0,
-                  std::uint64_t &cw1, std::uint64_t *qlo = nullptr,
-                  std::uint64_t *qhi = nullptr)
+                  std::uint64_t &cw1)
 {
     double q[16];
     const double e_min = quantizeEnergiesT<V>(e, top, q, n);
     const double base = subtract_min ? e_min : 0.0;
     word = cw0 = cw1 = 0;
-    std::uint64_t plo = 0, phi = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t b = static_cast<std::size_t>(q[i] - base);
-        const std::uint64_t c = cls[b];
-        word += 1ULL << (8 * c);
-        if (i < 8) {
-            cw0 |= c << (8 * i);
-            plo |= static_cast<std::uint64_t>(b & 0xff) << (8 * i);
-        } else {
-            cw1 |= c << (8 * (i - 8));
-            phi |= static_cast<std::uint64_t>(b & 0xff)
-                   << (8 * (i - 8));
-        }
-    }
-    if (qlo) {
-        *qlo = plo;
-        *qhi = phi;
-    }
-    return e_min;
-}
-
-/**
- * Re-classify one packed-lane pixel from its packed quantized bytes
- * (label i's q - base in byte i of @p qlo for i < 8, byte i - 8 of
- * @p qhi otherwise — the layout quantizeClassifyT emits): pure
- * integer, and bit-identical to quantizeClassifyT's word/cw0/cw1 on
- * the bytes' source energies whenever every q - base fits a byte.
- * This is the row-cache classify-hit lane: the float plane is never
- * touched, only the byte -> class table changes between binds.
- */
-inline void
-classifyPackedT(std::uint64_t qlo, std::uint64_t qhi,
-                const std::uint8_t *cls, std::size_t n,
-                std::uint64_t &word, std::uint64_t &cw0,
-                std::uint64_t &cw1)
-{
-    word = cw0 = cw1 = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t b =
-            (i < 8 ? qlo >> (8 * i) : qhi >> (8 * (i - 8))) & 0xff;
-        const std::uint64_t c = cls[b];
+        const std::uint64_t c =
+            cls[static_cast<std::size_t>(q[i] - base)];
         word += 1ULL << (8 * c);
         if (i < 8)
             cw0 |= c << (8 * i);
         else
             cw1 |= c << (8 * (i - 8));
     }
-}
-
-/**
- * classifyPackedT over a row, with the byte -> class table given as
- * a RangeClassifier step encoding: class(b) = rc.base plus the mod-256
- * deltas of every boundary at or below b.  Bit-identical to the table
- * walk whenever the encoding reproduces the table — which the caller
- * (RaceFastPath::bindRateTable) validates before selecting this lane.
- */
-inline void
-classifyRangeRowT(const RangeClassifier &rc,
-                  const std::uint64_t *qpacked, std::size_t q_stride,
-                  std::size_t n, std::size_t m, std::uint64_t *out)
-{
-    for (std::size_t p = 0; p < n; ++p) {
-        const std::uint64_t qlo = qpacked[p * q_stride];
-        const std::uint64_t qhi = qpacked[p * q_stride + 1];
-        std::uint64_t word = 0, cw0 = 0, cw1 = 0;
-        for (std::size_t i = 0; i < m; ++i) {
-            const std::uint8_t b = static_cast<std::uint8_t>(
-                (i < 8 ? qlo >> (8 * i) : qhi >> (8 * (i - 8))) &
-                0xff);
-            std::uint8_t c = rc.base;
-            for (std::size_t j = 0; j < rc.numSteps; ++j)
-                if (b >= rc.step[j])
-                    c = static_cast<std::uint8_t>(c + rc.delta[j]);
-            word += 1ULL << (8 * c);
-            if (i < 8)
-                cw0 |= static_cast<std::uint64_t>(c) << (8 * i);
-            else
-                cw1 |= static_cast<std::uint64_t>(c)
-                       << (8 * (i - 8));
-        }
-        out[3 * p] = word;
-        out[3 * p + 1] = cw0;
-        out[3 * p + 2] = cw1;
-    }
-}
-
-#if defined(RETSIM_SIMD_BACKEND_SSE42) ||                             \
-    defined(RETSIM_SIMD_BACKEND_AVX2) ||                              \
-    defined(RETSIM_SIMD_BACKEND_AVX512)
-/**
- * SSE2-width classifyRangeRowT: one 16-byte register holds the whole
- * pixel's quantized bytes, each boundary is one unsigned byte-compare
- * (subs_epu8(step, q) == 0  <=>  q >= step) whose 0xFF/0x00 mask
- * gates a mod-256 delta add, and the count word comes from one
- * cmpeq + movemask + popcount per distinct class — no gathers, no
- * table memory at all.  Labels at or past @p m classify to garbage
- * harmlessly: a byte mask zeroes their class lanes (matching the
- * scalar cw words, which never set those bytes) and a bit mask drops
- * them from every count.  Bit-identical to classifyRangeRowT: byte
- * adds wrap mod 256 in both, and the reachable classes are < 8.
- */
-inline void
-classifyRangeRowSse(const RangeClassifier &rc,
-                    const std::uint64_t *qpacked, std::size_t q_stride,
-                    std::size_t n, std::size_t m, std::uint64_t *out)
-{
-    __m128i vstep[7], vdelta[7];
-    for (std::size_t j = 0; j < rc.numSteps; ++j) {
-        vstep[j] = _mm_set1_epi8(static_cast<char>(rc.step[j]));
-        vdelta[j] = _mm_set1_epi8(static_cast<char>(rc.delta[j]));
-    }
-    const __m128i vbase = _mm_set1_epi8(static_cast<char>(rc.base));
-    const __m128i vzero = _mm_setzero_si128();
-    const unsigned len_bits =
-        m >= 16 ? 0xffffu : ((1u << m) - 1u);
-    alignas(16) unsigned char len_bytes[16];
-    for (std::size_t i = 0; i < 16; ++i)
-        len_bytes[i] = i < m ? 0xff : 0;
-    const __m128i vlen = _mm_load_si128(
-        reinterpret_cast<const __m128i *>(len_bytes));
-    for (std::size_t p = 0; p < n; ++p) {
-        // The two q words of an entry are adjacent, so one unaligned
-        // load replaces the pair of scalar inserts.
-        const __m128i q = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(qpacked +
-                                              p * q_stride));
-        __m128i c = vbase;
-        // The boundary masks double as the count source: bytes in
-        // segment j are exactly those >= step[j-1] but < step[j], so
-        // each segment's population is a difference of the running
-        // >=-boundary counts — no per-value compare loop at all.
-        // (rc encodes segments: numValues == numSteps + 1, value[j]
-        // is segment j's class.)
-        unsigned prev = len_bits;
-        std::uint64_t word = 0;
-        for (std::size_t j = 0; j < rc.numSteps; ++j) {
-            const __m128i ge = _mm_cmpeq_epi8(
-                _mm_subs_epu8(vstep[j], q), vzero);
-            c = _mm_add_epi8(c, _mm_and_si128(ge, vdelta[j]));
-            const unsigned ge_bits =
-                static_cast<unsigned>(_mm_movemask_epi8(ge)) &
-                len_bits;
-            word += static_cast<std::uint64_t>(
-                        std::popcount(prev & ~ge_bits))
-                    << (8 * rc.value[j]);
-            prev = ge_bits;
-        }
-        word += static_cast<std::uint64_t>(std::popcount(prev))
-                << (8 * rc.value[rc.numSteps]);
-        c = _mm_and_si128(c, vlen);
-        out[3 * p] = word;
-        out[3 * p + 1] =
-            static_cast<std::uint64_t>(_mm_cvtsi128_si64(c));
-        out[3 * p + 2] = static_cast<std::uint64_t>(
-            _mm_cvtsi128_si64(_mm_unpackhi_epi64(c, c)));
-    }
-}
-#endif // x86 backend TU
-
-/**
- * Fused conditional-energy runs driven by the solvers' 8-bit shadow
- * label plane: for each of @p count pixels, out[p*m + i] =
- * s[i] + pair[left][i] + pair[right][i] + pair[up][i] + pair[down][i]
- * through addRows5T — the identical accumulation (same operand order,
- * same association) as the LabelMap-driven fused path in
- * MrfProblem::conditionalEnergiesRow, so the results are bit-identical
- * to it.  The neighbor labels are single-byte loads at offset
- * p * idx_step from the four base pointers (left/right/up/down are the
- * caller's shadow-plane addresses of the FIRST pixel's neighbors);
- * the singleton base advances by s_step floats per pixel and the
- * output by m floats — the caller compacts a strided color phase into
- * a pixel-major arena.  Interior pixels only: the caller peels row
- * ends and non-4-neighborhood cases.
- */
-template <typename V>
-inline void
-energyRunU8T(const float *s, std::size_t s_step, const float *pair,
-             std::size_t m, const std::uint8_t *left,
-             const std::uint8_t *right, const std::uint8_t *up,
-             const std::uint8_t *down, std::size_t idx_step,
-             std::size_t count, float *out)
-{
-    for (std::size_t p = 0; p < count; ++p) {
-        const std::size_t o = p * idx_step;
-        addRows5T<V>(s + p * s_step,
-                     pair + static_cast<std::size_t>(left[o]) * m,
-                     pair + static_cast<std::size_t>(right[o]) * m,
-                     pair + static_cast<std::size_t>(up[o]) * m,
-                     pair + static_cast<std::size_t>(down[o]) * m,
-                     out + p * m, m);
-    }
+    return e_min;
 }
 
 /**
@@ -1120,7 +938,7 @@ gibbsWeightsRowT(const float *e, std::size_t n, std::size_t m,
 #if defined(RETSIM_SIMD_BACKEND_AVX2) ||                              \
     defined(RETSIM_SIMD_BACKEND_AVX512)
 /*
- * AVX2 16-label cores of quantizeClassifyT / classifyPackedT.  The
+ * AVX2 16-label core of quantizeClassifyT.  The
  * quantization runs in the float domain: float -> double widening is
  * exact, so both domains round the same real numbers to the same
  * integers (round-half-even either way), and the clamp bounds are
@@ -1149,10 +967,9 @@ packLowBytes8Avx2(__m256i v)
             << 32);
 }
 
-/** Classify tail shared by the quantize+classify and cached-bytes
- *  cores: gather classes for the 16 dword indices in @p i0 / @p i1,
- *  pack the label -> class byte words and build the per-class count
- *  word.  @p cls must stay readable 4 bytes past the largest
+/** Classify tail of the quantize+classify core: gather classes for
+ *  the 16 dword indices in @p i0 / @p i1, pack the label -> class
+ *  byte words and build the per-class count word.  @p cls must stay readable 4 bytes past the largest
  *  reachable index (32-bit gathers). */
 inline void
 classifyDwords16Avx2(__m256i i0, __m256i i1, const std::uint8_t *cls,
@@ -1203,9 +1020,7 @@ classifyDwords16Avx2(__m256i i0, __m256i i1, const std::uint8_t *cls,
 inline double
 quantizeClassify16Avx2(const float *e, double top, bool subtract_min,
                        const std::uint8_t *cls, std::uint64_t &word,
-                       std::uint64_t &cw0, std::uint64_t &cw1,
-                       std::uint64_t *qlo = nullptr,
-                       std::uint64_t *qhi = nullptr)
+                       std::uint64_t &cw0, std::uint64_t &cw1)
 {
     const __m256 vzero = _mm256_setzero_ps();
     const __m256 vtop = _mm256_set1_ps(static_cast<float>(top));
@@ -1232,32 +1047,10 @@ quantizeClassify16Avx2(const float *e, double top, bool subtract_min,
         i0 = _mm256_sub_epi32(i0, b);
         i1 = _mm256_sub_epi32(i1, b);
     }
-    if (qlo) {
-        // Row-cache layout: the based q bytes, label i in byte i.
-        // Truncation to a byte matches classifyPackedT's contract
-        // (only meaningful when top <= 255 — the caller's gate).
-        *qlo = packLowBytes8Avx2(i0);
-        *qhi = packLowBytes8Avx2(i1);
-    }
     classifyDwords16Avx2(i0, i1, cls, word, cw0, cw1);
     return static_cast<double>(e_min);
 }
 
-/** Classify-hit lane of the row cache: rebuild one pixel's classify
- *  words from its cached packed q bytes — bit-identical to
- *  quantizeClassify16Avx2's word/cw0/cw1 for the energies that
- *  produced the bytes (top <= 255), with no float work at all. */
-inline void
-classifyPacked16Avx2(std::uint64_t qlo, std::uint64_t qhi,
-                     const std::uint8_t *cls, std::uint64_t &word,
-                     std::uint64_t &cw0, std::uint64_t &cw1)
-{
-    const __m256i i0 = _mm256_cvtepu8_epi32(
-        _mm_cvtsi64_si128(static_cast<long long>(qlo)));
-    const __m256i i1 = _mm256_cvtepu8_epi32(
-        _mm_cvtsi64_si128(static_cast<long long>(qhi)));
-    classifyDwords16Avx2(i0, i1, cls, word, cw0, cw1);
-}
 #endif // AVX2 / AVX512 backend TU
 
 } // namespace detail

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -336,6 +337,36 @@ denoisingProblem(int side, std::uint64_t seed)
     return apps::buildDenoisingProblem(noisy);
 }
 
+/** Potts problem with randomized, tie-prone singletons. */
+mrf::MrfProblem
+randomProblem(int w, int h, int m, std::uint64_t seed)
+{
+    mrf::MrfProblem p(w, h,
+                      mrf::PairwiseTable(mrf::DistanceKind::Binary, m,
+                                         2.5),
+                      "random");
+    rng::Xoshiro256 gen(seed);
+    for (int y = 0; y < h; ++y)
+        for (int x = 0; x < w; ++x)
+            for (int l = 0; l < m; ++l)
+                p.singleton(x, y, l) = static_cast<float>(
+                    gen.nextBounded(2) ? gen.nextDouble() * 40.0
+                                       : gen.nextBounded(6));
+    return p;
+}
+
+/** Boundary-heavy grids: a single pixel, one column, one row, and a
+ *  3x3 whose only interior pixel is the center. */
+std::vector<mrf::MrfProblem>
+tinyProblems()
+{
+    std::vector<mrf::MrfProblem> out;
+    for (auto [w, h] : {std::pair{1, 1}, std::pair{1, 7},
+                        std::pair{9, 1}, std::pair{3, 3}})
+        out.push_back(randomProblem(w, h, 4, 1000 + w));
+    return out;
+}
+
 mrf::SolverConfig
 annealConfig(int sweeps, std::uint64_t seed)
 {
@@ -437,29 +468,61 @@ referenceStripedSolve(const mrf::MrfProblem &problem,
 
 TEST(BatchedSolver, SerialByteIdenticalToScalarReference)
 {
-    mrf::MrfProblem p = denoisingProblem(31, 5); // odd side: both
+    std::vector<mrf::MrfProblem> problems = tinyProblems();
+    problems.push_back(denoisingProblem(31, 5)); // odd side: both
                                                  // row phases hit
                                                  // boundary pixels
     mrf::SolverConfig cfg = annealConfig(6, 91);
 
+    for (const mrf::MrfProblem &p : problems) {
+        SCOPED_TRACE(std::to_string(p.width()) + "x" +
+                     std::to_string(p.height()));
+        {
+            SoftwareSampler ref, batched;
+            EXPECT_EQ(referenceSerialSolve(p, ref, cfg).data(),
+                      mrf::CheckerboardGibbsSolver(cfg)
+                          .run(p, batched)
+                          .data());
+        }
+        {
+            ReferenceRsuSampler ref(RsuConfig::newDesign());
+            RsuSampler batched(RsuConfig::newDesign());
+            EXPECT_EQ(referenceSerialSolve(p, ref, cfg).data(),
+                      mrf::CheckerboardGibbsSolver(cfg)
+                          .run(p, batched)
+                          .data());
+        }
+        {
+            CdfLutSampler ref(std::make_unique<rng::Mt19937>(7), 64);
+            CdfLutSampler batched(std::make_unique<rng::Mt19937>(7),
+                                  64);
+            EXPECT_EQ(referenceSerialSolve(p, ref, cfg).data(),
+                      mrf::CheckerboardGibbsSolver(cfg)
+                          .run(p, batched)
+                          .data());
+        }
+    }
+}
+
+TEST(BatchedSolver, WideAlphabetRowsMatchPerPixelSampling)
+{
+    // 24 labels leave the RSU fast path's packed lane (m <= 16), so
+    // its rows take the general lane; the per-pixel sample() loop of
+    // the same sampler type is the reference.
+    const mrf::MrfProblem p = randomProblem(15, 11, 24, 67);
+    const mrf::SolverConfig cfg = annealConfig(5, 13);
+    RsuConfig fast = RsuConfig::newDesign();
+    fast.raceMode = RaceMode::FastPath;
     {
-        SoftwareSampler ref, batched;
+        RsuSampler ref(fast), batched(fast);
         EXPECT_EQ(referenceSerialSolve(p, ref, cfg).data(),
                   mrf::CheckerboardGibbsSolver(cfg)
                       .run(p, batched)
                       .data());
     }
     {
-        ReferenceRsuSampler ref(RsuConfig::newDesign());
-        RsuSampler batched(RsuConfig::newDesign());
-        EXPECT_EQ(referenceSerialSolve(p, ref, cfg).data(),
-                  mrf::CheckerboardGibbsSolver(cfg)
-                      .run(p, batched)
-                      .data());
-    }
-    {
-        CdfLutSampler ref(std::make_unique<rng::Mt19937>(7), 64);
-        CdfLutSampler batched(std::make_unique<rng::Mt19937>(7), 64);
+        CdfLutSampler ref(std::make_unique<rng::Mt19937>(3), 64);
+        CdfLutSampler batched(std::make_unique<rng::Mt19937>(3), 64);
         EXPECT_EQ(referenceSerialSolve(p, ref, cfg).data(),
                   mrf::CheckerboardGibbsSolver(cfg)
                       .run(p, batched)
@@ -469,26 +532,33 @@ TEST(BatchedSolver, SerialByteIdenticalToScalarReference)
 
 TEST(BatchedSolver, StripedByteIdenticalToScalarReference)
 {
-    mrf::MrfProblem p = denoisingProblem(30, 17);
+    std::vector<mrf::MrfProblem> problems = tinyProblems();
+    problems.push_back(denoisingProblem(30, 17));
     mrf::SolverConfig cfg = annealConfig(5, 23);
     cfg.stripes = 4;
 
-    for (int threads : {1, 3}) {
-        cfg.threads = threads;
-        SoftwareSampler ref, batched;
-        EXPECT_EQ(referenceStripedSolve(p, ref, cfg, 4).data(),
-                  mrf::CheckerboardGibbsSolver(cfg)
-                      .run(p, batched)
-                      .data())
-            << "threads=" << threads;
+    for (const mrf::MrfProblem &p : problems) {
+        // The solver clamps the stripe count to the row count.
+        const int stripes = std::min(cfg.stripes, p.height());
+        for (int threads : {1, 3}) {
+            SCOPED_TRACE(std::to_string(p.width()) + "x" +
+                         std::to_string(p.height()) +
+                         " threads=" + std::to_string(threads));
+            cfg.threads = threads;
+            SoftwareSampler ref, batched;
+            EXPECT_EQ(referenceStripedSolve(p, ref, cfg, stripes).data(),
+                      mrf::CheckerboardGibbsSolver(cfg)
+                          .run(p, batched)
+                          .data());
 
-        ReferenceRsuSampler rsu_ref(RsuConfig::newDesign());
-        RsuSampler rsu_batched(RsuConfig::newDesign());
-        EXPECT_EQ(referenceStripedSolve(p, rsu_ref, cfg, 4).data(),
-                  mrf::CheckerboardGibbsSolver(cfg)
-                      .run(p, rsu_batched)
-                      .data())
-            << "threads=" << threads;
+            ReferenceRsuSampler rsu_ref(RsuConfig::newDesign());
+            RsuSampler rsu_batched(RsuConfig::newDesign());
+            EXPECT_EQ(
+                referenceStripedSolve(p, rsu_ref, cfg, stripes).data(),
+                mrf::CheckerboardGibbsSolver(cfg)
+                    .run(p, rsu_batched)
+                    .data());
+        }
     }
 }
 
@@ -497,7 +567,8 @@ TEST(BatchedSolver, RasterGibbsLiteralRaceMatchesReference)
     // The raster solver samples pixel by pixel through sample(), which
     // for the literal race is the one-pixel row kernel; the literal
     // reference must produce the same labels, trace and counters.
-    mrf::MrfProblem p = denoisingProblem(19, 29);
+    std::vector<mrf::MrfProblem> problems = tinyProblems();
+    problems.push_back(denoisingProblem(19, 29));
     std::vector<RsuConfig> cfgs = floatEscapeConfigs();
     cfgs.push_back(RsuConfig::newDesign());
     cfgs.push_back(RsuConfig::previousDesign());
@@ -505,29 +576,33 @@ TEST(BatchedSolver, RasterGibbsLiteralRaceMatchesReference)
     first_tie.tieBreak = TieBreak::First;
     cfgs.push_back(first_tie);
 
-    for (bool random_scan : {false, true}) {
-        mrf::SolverConfig cfg = annealConfig(5, 41);
-        cfg.randomScan = random_scan;
-        const mrf::GibbsSolver solver(cfg);
-        for (const RsuConfig &rsu_cfg : cfgs) {
-            ReferenceRsuSampler ref(rsu_cfg);
-            RsuSampler rsu(rsu_cfg);
-            mrf::SolverTrace ref_trace, rsu_trace;
-            const img::LabelMap ref_labels =
-                solver.run(p, ref, &ref_trace);
-            const img::LabelMap rsu_labels =
-                solver.run(p, rsu, &rsu_trace);
-            SCOPED_TRACE(rsu.name() +
-                         (random_scan ? " random scan" : " raster"));
-            EXPECT_EQ(ref_labels.data(), rsu_labels.data());
-            EXPECT_EQ(ref_trace.energyPerSweep, rsu_trace.energyPerSweep);
-            EXPECT_EQ(ref_trace.temperaturePerSweep,
-                      rsu_trace.temperaturePerSweep);
-            EXPECT_EQ(ref_trace.pixelUpdates, rsu_trace.pixelUpdates);
-            EXPECT_EQ(ref_trace.labelChanges, rsu_trace.labelChanges);
-            EXPECT_EQ(ref.stats().noSample, rsu.noSampleEvents());
-            EXPECT_EQ(ref.stats().ties, rsu.tieEvents());
-            EXPECT_EQ(ref.conversionRebuilds(), rsu.conversionRebuilds());
+    for (const mrf::MrfProblem &p : problems) {
+        for (bool random_scan : {false, true}) {
+            mrf::SolverConfig cfg = annealConfig(5, 41);
+            cfg.randomScan = random_scan;
+            const mrf::GibbsSolver solver(cfg);
+            for (const RsuConfig &rsu_cfg : cfgs) {
+                ReferenceRsuSampler ref(rsu_cfg);
+                RsuSampler rsu(rsu_cfg);
+                mrf::SolverTrace ref_trace, rsu_trace;
+                const img::LabelMap ref_labels =
+                    solver.run(p, ref, &ref_trace);
+                const img::LabelMap rsu_labels =
+                    solver.run(p, rsu, &rsu_trace);
+                SCOPED_TRACE(rsu.name() +
+                             (random_scan ? " random scan " : " raster ") +
+                             std::to_string(p.width()) + "x" +
+                             std::to_string(p.height()));
+                EXPECT_EQ(ref_labels.data(), rsu_labels.data());
+                EXPECT_EQ(ref_trace.energyPerSweep, rsu_trace.energyPerSweep);
+                EXPECT_EQ(ref_trace.temperaturePerSweep,
+                          rsu_trace.temperaturePerSweep);
+                EXPECT_EQ(ref_trace.pixelUpdates, rsu_trace.pixelUpdates);
+                EXPECT_EQ(ref_trace.labelChanges, rsu_trace.labelChanges);
+                EXPECT_EQ(ref.stats().noSample, rsu.noSampleEvents());
+                EXPECT_EQ(ref.stats().ties, rsu.tieEvents());
+                EXPECT_EQ(ref.conversionRebuilds(), rsu.conversionRebuilds());
+            }
         }
     }
 }

@@ -179,9 +179,9 @@ TEST(CheckerboardSolver, EnergyDescendsUnderAnnealing)
 
 TEST(CheckerboardSolverDeathTest, RejectsOutOfRangeInitialLabels)
 {
-    // Without randomInit the caller's labels index the pairwise table
-    // and the 8-bit shadow plane, so both schedules must reject a
-    // label outside [0, m) before the first sweep.
+    // Without randomInit the caller's labels index the pairwise table,
+    // so both schedules must reject a label outside [0, m) before the
+    // first sweep.
     MrfProblem p = pinnedPotts(6, 5, 1.0);
     for (int stripes : {0, 3}) {
         SCOPED_TRACE(stripes == 0 ? "serial" : "striped");

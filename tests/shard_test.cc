@@ -29,6 +29,7 @@
 #include "mrf/problem.hh"
 #include "obs/metrics.hh"
 #include "obs/telemetry.hh"
+#include "shard/shard_cli.hh"
 #include "shard/sharded_solver.hh"
 #include "shard/tile_partition.hh"
 #include "shard/transport.hh"
@@ -394,12 +395,11 @@ mrfCounters()
 /** Runs the striped solver (@p shards == 0) or the sharded one with a
  *  telemetry recorder installed and collects its counters. */
 RunCounters
-runCounted(const mrf::MrfProblem &problem, bool rsu, bool energyCache,
-           int shards, int threads)
+runCounted(const mrf::MrfProblem &problem, bool rsu, int shards,
+           int threads)
 {
     mrf::SolverConfig cfg = solverConfig(4);
     cfg.checkpointEvery = 0;
-    cfg.energyCache = energyCache;
     cfg.threads = threads;
     std::unique_ptr<mrf::LabelSampler> sampler;
     if (rsu)
@@ -444,30 +444,24 @@ TEST(ShardedSolver, FoldsCountersExactlyLikeStripedRuns)
 {
     const mrf::MrfProblem problem = makeProblem();
     for (bool rsu : {false, true}) {
-        for (bool energyCache : {true, false}) {
-            const RunCounters ref =
-                runCounted(problem, rsu, energyCache, 0, 1);
-            ASSERT_GT(ref.registryDelta.at("mrf.solver.pixel_updates"),
-                      0u);
-            ASSERT_GT(ref.telemetry.size(), 1u);
-            // Shards = 5 > 4 stripes leaves a rank empty.
-            for (int shards : {2, 3, 5}) {
-                for (int threads : {1, 2}) {
-                    SCOPED_TRACE(std::string(rsu ? "rsu" : "software") +
-                                 (energyCache ? " cache=on" : " cache=off") +
-                                 " shards=" + std::to_string(shards) +
-                                 " threads=" + std::to_string(threads));
-                    const RunCounters got = runCounted(
-                        problem, rsu, energyCache, shards, threads);
-                    EXPECT_EQ(got.registryDelta, ref.registryDelta);
-                    EXPECT_EQ(got.samplerStats.samples,
-                              ref.samplerStats.samples);
-                    EXPECT_EQ(got.samplerStats.noSample,
-                              ref.samplerStats.noSample);
-                    EXPECT_EQ(got.samplerStats.ties,
-                              ref.samplerStats.ties);
-                    EXPECT_EQ(got.telemetry, ref.telemetry);
-                }
+        const RunCounters ref = runCounted(problem, rsu, 0, 1);
+        ASSERT_GT(ref.registryDelta.at("mrf.solver.pixel_updates"), 0u);
+        ASSERT_GT(ref.telemetry.size(), 1u);
+        // Shards = 5 > 4 stripes leaves a rank empty.
+        for (int shards : {2, 3, 5}) {
+            for (int threads : {1, 2}) {
+                SCOPED_TRACE(std::string(rsu ? "rsu" : "software") +
+                             " shards=" + std::to_string(shards) +
+                             " threads=" + std::to_string(threads));
+                const RunCounters got =
+                    runCounted(problem, rsu, shards, threads);
+                EXPECT_EQ(got.registryDelta, ref.registryDelta);
+                EXPECT_EQ(got.samplerStats.samples,
+                          ref.samplerStats.samples);
+                EXPECT_EQ(got.samplerStats.noSample,
+                          ref.samplerStats.noSample);
+                EXPECT_EQ(got.samplerStats.ties, ref.samplerStats.ties);
+                EXPECT_EQ(got.telemetry, ref.telemetry);
             }
         }
     }
@@ -490,6 +484,43 @@ TEST(ShardedSolverDeathTest, RejectsOutOfRangeInitialLabels)
     EXPECT_DEATH(shard::ShardedCheckerboardSolver(cfg, options)
                      .run(problem, sampler, labels),
                  "initial label 1000000 out of range");
+}
+
+// ------------------------------------------------------------------
+// Command-line parsing (no solve, no threads)
+
+util::CliArgs
+cliOf(const char *flag)
+{
+    const char *argv[] = {"prog", flag};
+    return util::CliArgs(2, argv);
+}
+
+TEST(ShardCli, ParsesInRangeCounts)
+{
+    EXPECT_EQ(shard::shardOptionsFromCli(cliOf("--shards=3")).shards, 3);
+    EXPECT_EQ(shard::shardOptionsFromCli(cliOf("--other=1")).shards, 1);
+    EXPECT_EQ(shard::threadsFromCli(cliOf("--threads=0")), 0);
+    EXPECT_EQ(shard::threadsFromCli(cliOf("--threads=2147483647")),
+              2147483647);
+    EXPECT_EQ(shard::threadsFromCli(cliOf("--other=1")), -1);
+}
+
+TEST(ShardCliDeathTest, CountsBeyondIntAreFatalNotWrapped)
+{
+    // 2^32 + 2 and 2^32 + 1 would narrow to 2 shards and 1 thread.
+    EXPECT_DEATH(shard::shardOptionsFromCli(cliOf("--shards=4294967298")),
+                 "--shards=4294967298 is out of range");
+    EXPECT_DEATH(shard::threadsFromCli(cliOf("--threads=4294967297")),
+                 "--threads=4294967297 is out of range");
+}
+
+TEST(ShardCliDeathTest, CountsBelowTheirMinimumAreFatal)
+{
+    EXPECT_DEATH(shard::shardOptionsFromCli(cliOf("--shards=0")),
+                 "--shards=0 is out of range");
+    EXPECT_DEATH(shard::threadsFromCli(cliOf("--threads=-1")),
+                 "--threads=-1 is out of range");
 }
 
 } // namespace

@@ -342,58 +342,24 @@ TEST(BackendEquivalence, AllKernelsBitIdenticalToScalar)
             k.gibbsWeightsRow(ep.data(), n, m, 2.3, w1.data());
             ref.gibbsWeightsRow(ep.data(), n, m, 2.3, w2.data());
             EXPECT_EQ(w1, w2);
-
-            std::vector<float> sing(n * m), pair(m * m);
-            std::vector<std::uint8_t> lf(n), rt(n), up(n), dn(n);
-            for (float &v : sing)
-                v = static_cast<float>(gen.nextDouble() * 50.0);
-            for (float &v : pair)
-                v = static_cast<float>(gen.nextDouble() * 9.0);
-            for (std::size_t i = 0; i < n; ++i) {
-                lf[i] = static_cast<std::uint8_t>(gen.nextBounded(m));
-                rt[i] = static_cast<std::uint8_t>(gen.nextBounded(m));
-                up[i] = static_cast<std::uint8_t>(gen.nextBounded(m));
-                dn[i] = static_cast<std::uint8_t>(gen.nextBounded(m));
-            }
-            std::vector<float> f1(n * m), f2(n * m);
-            for (std::size_t step : {std::size_t{1}, std::size_t{2}}) {
-                const std::size_t cnt = step == 1 ? n : n / 2;
-                if (cnt == 0)
-                    continue;
-                k.energyRunU8(sing.data(), m, pair.data(), m,
-                              lf.data(), rt.data(), up.data(),
-                              dn.data(), step, cnt, f1.data());
-                ref.energyRunU8(sing.data(), m, pair.data(), m,
-                                lf.data(), rt.data(), up.data(),
-                                dn.data(), step, cnt, f2.data());
-                EXPECT_EQ(f1, f2) << "energyRunU8 step " << step;
-            }
         }
     }
 }
 
 TEST(BackendEquivalence, PackedClassifyKernelsBitIdenticalToScalar)
 {
-    // The packed quantize/classify family behind the RSU row cache:
-    // quantizeClassifyRow (with the based-q side channel), the
-    // classifyPackedRow replay of those bytes, and the gather-free
-    // classifyRangeRow step encoding.  All three must agree with the
-    // scalar reference bit for bit on every runnable backend, the
-    // replayed bytes must reproduce the fused words exactly, and the
-    // step encoding must match the byte table it was derived from —
-    // including the m < 16 lanes the SIMD paths mask rather than
-    // skip.
+    // The fused quantize + race-class pack of the fast path's packed
+    // lane must agree with the scalar reference bit for bit on every
+    // runnable backend — including the m < 16 lanes the SIMD paths
+    // mask rather than skip.
     const simd::KernelTable &ref =
         simd::kernelsFor(simd::Backend::Scalar);
     const double top = 255.0;
-    const std::size_t q_stride = core::RaceFastPath::kRowCacheWords;
     rng::Xoshiro256 gen(97);
 
-    // A step classifier like bindRateTable derives: strictly
+    // A byte -> class table like bindRateTable derives: strictly
     // decreasing class values (rates decay with energy; the union
-    // alphabet may skip values) over <= 7 random boundaries — plus
-    // the byte table it abbreviates.
-    simd::RangeClassifier rc;
+    // alphabet may skip values) over random boundaries.
     std::vector<std::uint8_t> boundaries;
     while (boundaries.size() < 5) {
         const auto b =
@@ -403,24 +369,15 @@ TEST(BackendEquivalence, PackedClassifyKernelsBitIdenticalToScalar)
             boundaries.push_back(b);
     }
     std::sort(boundaries.begin(), boundaries.end());
-    std::uint8_t vals[6] = {7, 6, 4, 3, 1, 0}; // skips like a union
-    rc.base = vals[0];
-    rc.numSteps = 5;
-    rc.numValues = 6;
-    for (std::size_t j = 0; j < 5; ++j) {
-        rc.step[j] = boundaries[j];
-        rc.delta[j] =
-            static_cast<std::uint8_t>(vals[j + 1] - vals[j]);
-    }
-    for (std::size_t j = 0; j < 6; ++j)
-        rc.value[j] = vals[j];
-    std::vector<std::uint8_t> cls(256);
+    const std::uint8_t vals[6] = {7, 6, 4, 3, 1, 0}; // skips like a union
+    // Padded: the vector backends gather 32-bit words, so the table
+    // must stay readable past its last index.
+    std::vector<std::uint8_t> cls(256 + 8, 0);
     for (std::size_t b = 0; b < 256; ++b) {
-        std::uint8_t c = rc.base;
-        for (std::size_t j = 0; j < rc.numSteps; ++j)
-            if (b >= rc.step[j])
-                c = static_cast<std::uint8_t>(c + rc.delta[j]);
-        cls[b] = c;
+        std::size_t seg = 0;
+        while (seg < boundaries.size() && b >= boundaries[seg])
+            ++seg;
+        cls[b] = vals[seg];
     }
 
     for (simd::Backend b : simd::runnableBackends()) {
@@ -438,42 +395,12 @@ TEST(BackendEquivalence, PackedClassifyKernelsBitIdenticalToScalar)
                                  std::to_string(m) +
                                  (subtract_min ? " based" : " raw"));
                     std::vector<std::uint64_t> w1(3 * n), w2(3 * n);
-                    std::vector<std::uint64_t> q1(n * q_stride,
-                                                  0xa5a5a5a5a5a5a5a5ULL);
-                    std::vector<std::uint64_t> q2(q1);
                     k.quantizeClassifyRow(e.data(), top, subtract_min,
-                                          cls.data(), n, m, w1.data(),
-                                          q1.data(), q_stride);
+                                          cls.data(), n, m, w1.data());
                     ref.quantizeClassifyRow(e.data(), top,
                                             subtract_min, cls.data(),
-                                            n, m, w2.data(),
-                                            q2.data(), q_stride);
+                                            n, m, w2.data());
                     EXPECT_EQ(w1, w2);
-                    // Whole-buffer compare: the untouched stride gap
-                    // (sentinel) proves neither lane writes outside
-                    // its two q words.
-                    EXPECT_EQ(q1, q2);
-
-                    // Replaying the packed bytes must reproduce the
-                    // fused words, on this backend and on scalar.
-                    std::vector<std::uint64_t> r1(3 * n), r2(3 * n);
-                    k.classifyPackedRow(q1.data(), q_stride,
-                                        cls.data(), n, m, r1.data());
-                    ref.classifyPackedRow(q1.data(), q_stride,
-                                          cls.data(), n, m,
-                                          r2.data());
-                    EXPECT_EQ(r1, w1);
-                    EXPECT_EQ(r2, w1);
-
-                    // The step encoding is the same function as the
-                    // byte table it was derived from.
-                    std::vector<std::uint64_t> g1(3 * n), g2(3 * n);
-                    k.classifyRangeRow(rc, q1.data(), q_stride, n, m,
-                                       g1.data());
-                    ref.classifyRangeRow(rc, q1.data(), q_stride, n,
-                                         m, g2.data());
-                    EXPECT_EQ(g1, w1);
-                    EXPECT_EQ(g2, w1);
                 }
             }
         }
@@ -482,10 +409,9 @@ TEST(BackendEquivalence, PackedClassifyKernelsBitIdenticalToScalar)
 
 TEST(BackendEquivalence, RowFusedKernelsMatchTheirComposition)
 {
-    // The row-fused kernels must be bit-identical to the per-pixel
-    // compositions they replace — gibbsWeightsRow to a min scan +
-    // expWeights per pixel, energyRunU8 to addRows5 over the pairwise
-    // rows the neighbor bytes select.  Scalar is the reference table;
+    // The row-fused kernel must be bit-identical to the per-pixel
+    // composition it replaces — gibbsWeightsRow to a min scan +
+    // expWeights per pixel.  Scalar is the reference table;
     // the backend sweep above carries the identity to every lane.
     const simd::KernelTable &k = simd::kernelsFor(simd::Backend::Scalar);
     const std::size_t n = 23, m = 7;
@@ -504,28 +430,6 @@ TEST(BackendEquivalence, RowFusedKernelsMatchTheirComposition)
                      1.7, composed.data() + p * m, m);
     }
     EXPECT_EQ(fused, composed);
-
-    std::vector<float> sing(n * m), pair(m * m);
-    std::vector<std::uint8_t> lf(n), rt(n), up(n), dn(n);
-    for (float &v : sing)
-        v = static_cast<float>(gen.nextDouble() * 40.0);
-    for (float &v : pair)
-        v = static_cast<float>(gen.nextDouble() * 6.0);
-    for (std::size_t i = 0; i < n; ++i) {
-        lf[i] = static_cast<std::uint8_t>(gen.nextBounded(m));
-        rt[i] = static_cast<std::uint8_t>(gen.nextBounded(m));
-        up[i] = static_cast<std::uint8_t>(gen.nextBounded(m));
-        dn[i] = static_cast<std::uint8_t>(gen.nextBounded(m));
-    }
-    std::vector<float> f_fused(n * m), f_comp(n * m);
-    k.energyRunU8(sing.data(), m, pair.data(), m, lf.data(),
-                  rt.data(), up.data(), dn.data(), 1, n,
-                  f_fused.data());
-    for (std::size_t p = 0; p < n; ++p)
-        k.addRows5(sing.data() + p * m, pair.data() + lf[p] * m,
-                   pair.data() + rt[p] * m, pair.data() + up[p] * m,
-                   pair.data() + dn[p] * m, f_comp.data() + p * m, m);
-    EXPECT_EQ(f_fused, f_comp);
 }
 
 TEST(BackendEquivalence, RaceDrawsLabelsAndRngStateIdentical)

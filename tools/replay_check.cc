@@ -67,11 +67,6 @@ using SamplerFactory =
  *  literal race, and CI runs this validator in both modes. */
 core::RaceMode g_race_mode = core::RaceMode::Race;
 
-/** `--energy-cache=` toggle.  The flip-aware energy-plane cache is
- *  rebuilt from scratch on construction (never checkpointed), so the
- *  replay contract must hold identically with it on or off. */
-bool g_energy_cache = true;
-
 std::unique_ptr<mrf::LabelSampler>
 makeRsu()
 {
@@ -168,7 +163,6 @@ modeConfig(const std::string &mode, std::uint64_t seed, int sweeps)
     cfg.annealing.tEnd = 0.8;
     cfg.annealing.sweeps = sweeps;
     cfg.seed = seed;
-    cfg.energyCache = g_energy_cache;
     if (mode == "gibbs-rand")
         cfg.randomScan = true;
     if (mode == "cb-striped") {
@@ -273,7 +267,6 @@ main(int argc, char **argv)
     util::CliArgs args(argc, argv);
     simd::backendFromCli(args); // --simd= dispatch override
     g_race_mode = core::raceModeFromCli(args);
-    g_energy_cache = args.getBool("energy-cache", true);
     const int sweeps = static_cast<int>(args.getInt("sweeps", 16));
     const int kill_at = static_cast<int>(args.getInt("kill-at", 7));
     const std::string tmpdir = args.getString("tmpdir", ".");
@@ -311,8 +304,7 @@ main(int argc, char **argv)
         return 1;
     }
     std::printf("\nreplay_check: all cases byte-identical after "
-                "kill-at-%d + resume (race_mode=%s, energy_cache=%s)\n",
-                kill_at, core::toString(g_race_mode).c_str(),
-                g_energy_cache ? "on" : "off");
+                "kill-at-%d + resume (race_mode=%s)\n",
+                kill_at, core::toString(g_race_mode).c_str());
     return 0;
 }
