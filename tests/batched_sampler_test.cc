@@ -355,13 +355,13 @@ randomProblem(int w, int h, int m, std::uint64_t seed)
     return p;
 }
 
-/** Boundary-heavy grids: a single pixel, one column, one row, and a
- *  3x3 whose only interior pixel is the center. */
+/** Boundary-heavy grids: a single pixel, a 2x2, one column, one row,
+ *  and a 3x3 whose only interior pixel is the center. */
 std::vector<mrf::MrfProblem>
 tinyProblems()
 {
     std::vector<mrf::MrfProblem> out;
-    for (auto [w, h] : {std::pair{1, 1}, std::pair{1, 7},
+    for (auto [w, h] : {std::pair{1, 1}, std::pair{2, 2}, std::pair{1, 7},
                         std::pair{9, 1}, std::pair{3, 3}})
         out.push_back(randomProblem(w, h, 4, 1000 + w));
     return out;
@@ -466,42 +466,121 @@ referenceStripedSolve(const mrf::MrfProblem &problem,
     return labels;
 }
 
-TEST(BatchedSolver, SerialByteIdenticalToScalarReference)
+/** The batched serial checkerboard solver against the literal serial
+ *  reference, for the software, RSU and CDF-LUT samplers. */
+void
+expectSerialMatchesReference(const mrf::MrfProblem &p,
+                             const mrf::SolverConfig &cfg)
 {
-    std::vector<mrf::MrfProblem> problems = tinyProblems();
-    problems.push_back(denoisingProblem(31, 5)); // odd side: both
-                                                 // row phases hit
-                                                 // boundary pixels
-    mrf::SolverConfig cfg = annealConfig(6, 91);
+    SCOPED_TRACE(std::to_string(p.width()) + "x" +
+                 std::to_string(p.height()));
+    {
+        SoftwareSampler ref, batched;
+        EXPECT_EQ(referenceSerialSolve(p, ref, cfg).data(),
+                  mrf::CheckerboardGibbsSolver(cfg)
+                      .run(p, batched)
+                      .data());
+    }
+    {
+        ReferenceRsuSampler ref(RsuConfig::newDesign());
+        RsuSampler batched(RsuConfig::newDesign());
+        EXPECT_EQ(referenceSerialSolve(p, ref, cfg).data(),
+                  mrf::CheckerboardGibbsSolver(cfg)
+                      .run(p, batched)
+                      .data());
+    }
+    {
+        CdfLutSampler ref(std::make_unique<rng::Mt19937>(7), 64);
+        CdfLutSampler batched(std::make_unique<rng::Mt19937>(7), 64);
+        EXPECT_EQ(referenceSerialSolve(p, ref, cfg).data(),
+                  mrf::CheckerboardGibbsSolver(cfg)
+                      .run(p, batched)
+                      .data());
+    }
+}
 
-    for (const mrf::MrfProblem &p : problems) {
+/** The batched striped solver against the literal striped reference,
+ *  on one and on three threads. */
+void
+expectStripedMatchesReference(const mrf::MrfProblem &p,
+                              mrf::SolverConfig cfg)
+{
+    // The solver clamps the stripe count to the row count.
+    const int stripes = std::min(cfg.stripes, p.height());
+    for (int threads : {1, 3}) {
         SCOPED_TRACE(std::to_string(p.width()) + "x" +
-                     std::to_string(p.height()));
-        {
-            SoftwareSampler ref, batched;
-            EXPECT_EQ(referenceSerialSolve(p, ref, cfg).data(),
-                      mrf::CheckerboardGibbsSolver(cfg)
-                          .run(p, batched)
-                          .data());
-        }
-        {
-            ReferenceRsuSampler ref(RsuConfig::newDesign());
-            RsuSampler batched(RsuConfig::newDesign());
-            EXPECT_EQ(referenceSerialSolve(p, ref, cfg).data(),
-                      mrf::CheckerboardGibbsSolver(cfg)
-                          .run(p, batched)
-                          .data());
-        }
-        {
-            CdfLutSampler ref(std::make_unique<rng::Mt19937>(7), 64);
-            CdfLutSampler batched(std::make_unique<rng::Mt19937>(7),
-                                  64);
-            EXPECT_EQ(referenceSerialSolve(p, ref, cfg).data(),
-                      mrf::CheckerboardGibbsSolver(cfg)
-                          .run(p, batched)
-                          .data());
+                     std::to_string(p.height()) +
+                     " threads=" + std::to_string(threads));
+        cfg.threads = threads;
+        SoftwareSampler ref, batched;
+        EXPECT_EQ(referenceStripedSolve(p, ref, cfg, stripes).data(),
+                  mrf::CheckerboardGibbsSolver(cfg)
+                      .run(p, batched)
+                      .data());
+
+        ReferenceRsuSampler rsu_ref(RsuConfig::newDesign());
+        RsuSampler rsu_batched(RsuConfig::newDesign());
+        EXPECT_EQ(referenceStripedSolve(p, rsu_ref, cfg, stripes).data(),
+                  mrf::CheckerboardGibbsSolver(cfg)
+                      .run(p, rsu_batched)
+                      .data());
+    }
+}
+
+/** The raster and random-scan GibbsSolver with the RSU row kernel
+ *  against the literal race reference: labels, trace and counters. */
+void
+expectRasterMatchesReference(const mrf::MrfProblem &p)
+{
+    std::vector<RsuConfig> cfgs = floatEscapeConfigs();
+    cfgs.push_back(RsuConfig::newDesign());
+    cfgs.push_back(RsuConfig::previousDesign());
+    RsuConfig first_tie = RsuConfig::newDesign();
+    first_tie.tieBreak = TieBreak::First;
+    cfgs.push_back(first_tie);
+
+    for (bool random_scan : {false, true}) {
+        mrf::SolverConfig cfg = annealConfig(5, 41);
+        cfg.randomScan = random_scan;
+        const mrf::GibbsSolver solver(cfg);
+        for (const RsuConfig &rsu_cfg : cfgs) {
+            ReferenceRsuSampler ref(rsu_cfg);
+            RsuSampler rsu(rsu_cfg);
+            mrf::SolverTrace ref_trace, rsu_trace;
+            const img::LabelMap ref_labels =
+                solver.run(p, ref, &ref_trace);
+            const img::LabelMap rsu_labels =
+                solver.run(p, rsu, &rsu_trace);
+            SCOPED_TRACE(rsu.name() +
+                         (random_scan ? " random scan " : " raster ") +
+                         std::to_string(p.width()) + "x" +
+                         std::to_string(p.height()));
+            EXPECT_EQ(ref_labels.data(), rsu_labels.data());
+            EXPECT_EQ(ref_trace.energyPerSweep, rsu_trace.energyPerSweep);
+            EXPECT_EQ(ref_trace.temperaturePerSweep,
+                      rsu_trace.temperaturePerSweep);
+            EXPECT_EQ(ref_trace.pixelUpdates, rsu_trace.pixelUpdates);
+            EXPECT_EQ(ref_trace.labelChanges, rsu_trace.labelChanges);
+            EXPECT_EQ(ref.stats().noSample, rsu.noSampleEvents());
+            EXPECT_EQ(ref.stats().ties, rsu.tieEvents());
+            EXPECT_EQ(ref.conversionRebuilds(), rsu.conversionRebuilds());
         }
     }
+}
+
+mrf::SolverConfig
+stripedConfig()
+{
+    mrf::SolverConfig cfg = annealConfig(5, 23);
+    cfg.stripes = 4;
+    return cfg;
+}
+
+TEST(BatchedSolver, SerialByteIdenticalToScalarReference)
+{
+    // Odd side: both row phases hit boundary pixels.
+    expectSerialMatchesReference(denoisingProblem(31, 5),
+                                 annealConfig(6, 91));
 }
 
 TEST(BatchedSolver, WideAlphabetRowsMatchPerPixelSampling)
@@ -532,34 +611,8 @@ TEST(BatchedSolver, WideAlphabetRowsMatchPerPixelSampling)
 
 TEST(BatchedSolver, StripedByteIdenticalToScalarReference)
 {
-    std::vector<mrf::MrfProblem> problems = tinyProblems();
-    problems.push_back(denoisingProblem(30, 17));
-    mrf::SolverConfig cfg = annealConfig(5, 23);
-    cfg.stripes = 4;
-
-    for (const mrf::MrfProblem &p : problems) {
-        // The solver clamps the stripe count to the row count.
-        const int stripes = std::min(cfg.stripes, p.height());
-        for (int threads : {1, 3}) {
-            SCOPED_TRACE(std::to_string(p.width()) + "x" +
-                         std::to_string(p.height()) +
-                         " threads=" + std::to_string(threads));
-            cfg.threads = threads;
-            SoftwareSampler ref, batched;
-            EXPECT_EQ(referenceStripedSolve(p, ref, cfg, stripes).data(),
-                      mrf::CheckerboardGibbsSolver(cfg)
-                          .run(p, batched)
-                          .data());
-
-            ReferenceRsuSampler rsu_ref(RsuConfig::newDesign());
-            RsuSampler rsu_batched(RsuConfig::newDesign());
-            EXPECT_EQ(
-                referenceStripedSolve(p, rsu_ref, cfg, stripes).data(),
-                mrf::CheckerboardGibbsSolver(cfg)
-                    .run(p, rsu_batched)
-                    .data());
-        }
-    }
+    expectStripedMatchesReference(denoisingProblem(30, 17),
+                                  stripedConfig());
 }
 
 TEST(BatchedSolver, RasterGibbsLiteralRaceMatchesReference)
@@ -567,43 +620,17 @@ TEST(BatchedSolver, RasterGibbsLiteralRaceMatchesReference)
     // The raster solver samples pixel by pixel through sample(), which
     // for the literal race is the one-pixel row kernel; the literal
     // reference must produce the same labels, trace and counters.
-    std::vector<mrf::MrfProblem> problems = tinyProblems();
-    problems.push_back(denoisingProblem(19, 29));
-    std::vector<RsuConfig> cfgs = floatEscapeConfigs();
-    cfgs.push_back(RsuConfig::newDesign());
-    cfgs.push_back(RsuConfig::previousDesign());
-    RsuConfig first_tie = RsuConfig::newDesign();
-    first_tie.tieBreak = TieBreak::First;
-    cfgs.push_back(first_tie);
+    expectRasterMatchesReference(denoisingProblem(19, 29));
+}
 
-    for (const mrf::MrfProblem &p : problems) {
-        for (bool random_scan : {false, true}) {
-            mrf::SolverConfig cfg = annealConfig(5, 41);
-            cfg.randomScan = random_scan;
-            const mrf::GibbsSolver solver(cfg);
-            for (const RsuConfig &rsu_cfg : cfgs) {
-                ReferenceRsuSampler ref(rsu_cfg);
-                RsuSampler rsu(rsu_cfg);
-                mrf::SolverTrace ref_trace, rsu_trace;
-                const img::LabelMap ref_labels =
-                    solver.run(p, ref, &ref_trace);
-                const img::LabelMap rsu_labels =
-                    solver.run(p, rsu, &rsu_trace);
-                SCOPED_TRACE(rsu.name() +
-                             (random_scan ? " random scan " : " raster ") +
-                             std::to_string(p.width()) + "x" +
-                             std::to_string(p.height()));
-                EXPECT_EQ(ref_labels.data(), rsu_labels.data());
-                EXPECT_EQ(ref_trace.energyPerSweep, rsu_trace.energyPerSweep);
-                EXPECT_EQ(ref_trace.temperaturePerSweep,
-                          rsu_trace.temperaturePerSweep);
-                EXPECT_EQ(ref_trace.pixelUpdates, rsu_trace.pixelUpdates);
-                EXPECT_EQ(ref_trace.labelChanges, rsu_trace.labelChanges);
-                EXPECT_EQ(ref.stats().noSample, rsu.noSampleEvents());
-                EXPECT_EQ(ref.stats().ties, rsu.tieEvents());
-                EXPECT_EQ(ref.conversionRebuilds(), rsu.conversionRebuilds());
-            }
-        }
+TEST(BatchedSolver, TinyAndDegenerateGrids)
+{
+    // Grids where most or all pixels are on the boundary, through the
+    // serial, striped (more stripes than rows) and raster solvers.
+    for (const mrf::MrfProblem &p : tinyProblems()) {
+        expectSerialMatchesReference(p, annealConfig(6, 91));
+        expectStripedMatchesReference(p, stripedConfig());
+        expectRasterMatchesReference(p);
     }
 }
 
