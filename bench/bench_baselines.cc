@@ -21,9 +21,9 @@ int
 main(int argc, char **argv)
 {
     util::CliArgs args(argc, argv);
-    const int sweeps = static_cast<int>(args.getInt("sweeps", 200));
-    const int bp_iters = static_cast<int>(args.getInt("bp-iters", 30));
-    const std::uint64_t seed = args.getInt("seed", 42);
+    const int sweeps = args.getIntIn("sweeps", 200, 1);
+    const int bp_iters = args.getIntIn("bp-iters", 30, 1);
+    const std::uint64_t seed = args.getIntIn<std::uint64_t>("seed", 42, 0);
 
     printHeader("Solver families on stereo (BP%)",
                 "Sec. III-B: annealed MCMC reaches the quality class "

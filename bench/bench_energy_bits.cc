@@ -18,8 +18,8 @@ int
 main(int argc, char **argv)
 {
     util::CliArgs args(argc, argv);
-    const int sweeps = static_cast<int>(args.getInt("sweeps", 150));
-    const std::uint64_t seed = args.getInt("seed", 42);
+    const int sweeps = args.getIntIn("sweeps", 150, 1);
+    const std::uint64_t seed = args.getIntIn<std::uint64_t>("seed", 42, 0);
 
     printHeader("Energy_bits sweep — stereo BP with float lambda/time",
                 "Sec. III-C.1: 8 bits suffice; below 8 degrades");

@@ -17,8 +17,8 @@ int
 main(int argc, char **argv)
 {
     util::CliArgs args(argc, argv);
-    const int sweeps = static_cast<int>(args.getInt("sweeps", 200));
-    const std::uint64_t seed = args.getInt("seed", 42);
+    const int sweeps = args.getIntIn("sweeps", 200, 1);
+    const std::uint64_t seed = args.getIntIn<std::uint64_t>("seed", 42, 0);
 
     printHeader("Figure 3 — Software-only vs. previous RSU-G "
                 "result quality (stereo BP %)",

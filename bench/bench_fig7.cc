@@ -63,10 +63,9 @@ int
 main(int argc, char **argv)
 {
     util::CliArgs args(argc, argv);
-    const int races = static_cast<int>(args.getInt("races", 1000000));
-    const unsigned time_bits =
-        static_cast<unsigned>(args.getInt("time-bits", 5));
-    const std::uint64_t seed = args.getInt("seed", 42);
+    const int races = args.getIntIn("races", 1000000, 1);
+    const unsigned time_bits = args.getIntIn<unsigned>("time-bits", 5, 0);
+    const std::uint64_t seed = args.getIntIn<std::uint64_t>("seed", 42, 0);
 
     printHeader(
         "Figure 7 — relative error of achieved vs intended lambda "

@@ -18,8 +18,8 @@ int
 main(int argc, char **argv)
 {
     util::CliArgs args(argc, argv);
-    const int sweeps = static_cast<int>(args.getInt("sweeps", 150));
-    const std::uint64_t seed = args.getInt("seed", 42);
+    const int sweeps = args.getIntIn("sweeps", 150, 1);
+    const std::uint64_t seed = args.getIntIn<std::uint64_t>("seed", 42, 0);
 
     printHeader("Figure 8 — BP over Time_bits x Truncation (poster)",
                 "Fig. 8 (Sec. III-C.3): iso-quality diagonal; chosen "

@@ -15,15 +15,11 @@ int
 main(int argc, char **argv)
 {
     util::CliArgs args(argc, argv);
-    const int stereo_sweeps =
-        static_cast<int>(args.getInt("stereo-sweeps", 200));
-    const int motion_sweeps =
-        static_cast<int>(args.getInt("motion-sweeps", 150));
-    const int seg_sweeps =
-        static_cast<int>(args.getInt("seg-sweeps", 30));
-    const int seg_images =
-        static_cast<int>(args.getInt("seg-images", 30));
-    const std::uint64_t seed = args.getInt("seed", 42);
+    const int stereo_sweeps = args.getIntIn("stereo-sweeps", 200, 1);
+    const int motion_sweeps = args.getIntIn("motion-sweeps", 150, 1);
+    const int seg_sweeps = args.getIntIn("seg-sweeps", 30, 1);
+    const int seg_images = args.getIntIn("seg-images", 30, 1);
+    const std::uint64_t seed = args.getIntIn<std::uint64_t>("seed", 42, 0);
 
     auto rsu = rsuFactory(core::RsuConfig::newDesign());
     auto sw = softwareFactory();

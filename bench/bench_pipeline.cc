@@ -42,7 +42,7 @@ int
 main(int argc, char **argv)
 {
     util::CliArgs args(argc, argv);
-    const int pixels = static_cast<int>(args.getInt("pixels", 2000));
+    const int pixels = args.getIntIn("pixels", 2000, 1);
 
     printHeader("RSU-G pipeline characterization",
                 "Sec. II-C (1 label/cycle, latency 7+(M-1)) and "

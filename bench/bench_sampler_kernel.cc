@@ -35,7 +35,6 @@
 #include "mrf/problem.hh"
 #include "rsu_reference.hh"
 #include "simd/kernels.hh"
-#include "simd/simd_cli.hh"
 #include "util/fixed_point.hh"
 
 namespace {
@@ -465,23 +464,19 @@ main(int argc, char **argv)
     // noisy but every outputs_match check still runs in full.  The
     // full run reports the median of five repeats.
     const bool quick = args.getBool("quick", false);
-    const int size =
-        static_cast<int>(args.getInt("size", quick ? 64 : 192));
-    const int labels = static_cast<int>(args.getInt("labels", 16));
-    const int temps =
-        static_cast<int>(args.getInt("temps", quick ? 4 : 8));
+    const int size = args.getIntIn("size", quick ? 64 : 192, 1);
+    const int labels = args.getIntIn("labels", 16, 1);
+    const int temps = args.getIntIn("temps", quick ? 4 : 8, 1);
     const double t0 = args.getDouble("t0", 48.0);
     const double t_end = args.getDouble("tEnd", 0.8);
-    const int reps =
-        static_cast<int>(args.getInt("reps", quick ? 1 : 5));
-    const std::uint64_t seed =
-        static_cast<std::uint64_t>(args.getInt("seed", 1));
+    const int reps = args.getIntIn("reps", quick ? 1 : 5, 1);
+    const std::uint64_t seed = args.getIntIn<std::uint64_t>("seed", 1, 0);
     const std::string out =
         args.getString("out", "BENCH_sampler_kernel.json");
     const int hw = static_cast<int>(
         std::max(1u, std::thread::hardware_concurrency()));
     const char *backend =
-        simd::backendName(simd::backendFromCli(args));
+        simd::backendName(simd::activeBackend());
 
     bench::printHeader(
         "Sampling kernel throughput: per-pixel sample() vs. batched "

@@ -37,7 +37,7 @@
 #include "mrf/checkerboard.hh"
 #include "obs/metrics.hh"
 #include "shard/shard_cli.hh"
-#include "simd/simd_cli.hh"
+#include "simd/kernels.hh"
 
 namespace {
 
@@ -127,11 +127,10 @@ int
 main(int argc, char **argv)
 {
     util::CliArgs args(argc, argv);
-    const int size = static_cast<int>(args.getInt("size", 256));
-    const int sweeps = static_cast<int>(args.getInt("sweeps", 6));
-    const int stripes = static_cast<int>(args.getInt("stripes", 16));
-    const std::uint64_t seed =
-        static_cast<std::uint64_t>(args.getInt("seed", 1));
+    const int size = args.getIntIn("size", 256, 1);
+    const int sweeps = args.getIntIn("sweeps", 6, 1);
+    const int stripes = args.getIntIn("stripes", 16, 1);
+    const std::uint64_t seed = args.getIntIn<std::uint64_t>("seed", 1, 0);
     const std::string out =
         args.getString("out", "BENCH_solver_scaling.json");
     const std::string sampler_arg = args.getString("sampler", "");
@@ -143,7 +142,7 @@ main(int argc, char **argv)
     const int hw = static_cast<int>(
         std::max(1u, std::thread::hardware_concurrency()));
     const char *backend =
-        simd::backendName(simd::backendFromCli(args));
+        simd::backendName(simd::activeBackend());
 
     core::RaceMode race_mode = core::RaceMode::Auto;
     if (race_arg == "race")

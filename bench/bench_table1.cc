@@ -15,9 +15,9 @@ int
 main(int argc, char **argv)
 {
     util::CliArgs args(argc, argv);
-    const int sweeps = static_cast<int>(args.getInt("sweeps", 30));
-    const int images = static_cast<int>(args.getInt("images", 30));
-    const std::uint64_t seed = args.getInt("seed", 42);
+    const int sweeps = args.getIntIn("sweeps", 30, 1);
+    const int images = args.getIntIn("images", 30, 1);
+    const std::uint64_t seed = args.getIntIn<std::uint64_t>("seed", 42, 0);
 
     printHeader("Table I — std-dev of VoI across 30 images",
                 "Tab. I (Sec. III-D.3): software and new RSU-G show "

@@ -20,7 +20,6 @@
 #include "img/synthetic.hh"
 #include "metrics/stereo_metrics.hh"
 #include "mrf/checkerboard.hh"
-#include "simd/simd_cli.hh"
 #include "util/cli.hh"
 
 using namespace retsim;
@@ -29,7 +28,6 @@ int
 main(int argc, char **argv)
 {
     util::CliArgs args(argc, argv);
-    simd::backendFromCli(args); // --simd= dispatch override
     hw::AcceleratorConfig cfg;
     cfg.memBandwidthBytes =
         args.getDouble("bandwidth-gbps", 336.0) * 1e9;
@@ -37,7 +35,7 @@ main(int argc, char **argv)
     hw::FrameWorkload w;
     w.width = 1920;
     w.height = 1080;
-    w.labels = static_cast<int>(args.getInt("labels", 64));
+    w.labels = args.getIntIn("labels", 64, 1);
     w.iterations = 100;
 
     std::printf("Workload: %dx%d, %d labels, %d iterations, "
@@ -92,8 +90,7 @@ main(int argc, char **argv)
     // Run the same problem through the cycle-level system simulator:
     // every pixel update flows through an RSU-G pipeline, so we get
     // the silicon's labeling AND its cycle count in one run.
-    int sys_sweeps =
-        static_cast<int>(args.getInt("sys-sweeps", 80));
+    int sys_sweeps = args.getIntIn("sys-sweeps", 80, 1);
     hw::SystemConfig sys_cfg;
     sys_cfg.units = 16;
     mrf::AnnealingSchedule sched;

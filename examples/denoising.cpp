@@ -23,7 +23,6 @@
 #include "obs/telemetry_cli.hh"
 #include "img/synthetic.hh"
 #include "shard/shard_cli.hh"
-#include "simd/simd_cli.hh"
 #include "util/cli.hh"
 
 using namespace retsim;
@@ -58,15 +57,14 @@ int
 main(int argc, char **argv)
 {
     util::CliArgs args(argc, argv);
-    simd::backendFromCli(args); // --simd= dispatch override
     obs::TelemetryScope telemetry =
         obs::telemetryFromCli(args, "denoising");
     const double sigma = args.getDouble("sigma", 25.0);
-    const int sweeps = static_cast<int>(args.getInt("sweeps", 40));
+    const int sweeps = args.getIntIn("sweeps", 40, 1);
     const std::string outdir = args.getString("outdir", ".");
 
     apps::DenoisingParams params;
-    params.levels = static_cast<int>(args.getInt("levels", 32));
+    params.levels = args.getIntIn("levels", 32, 1);
 
     img::ImageU8 clean = makeCleanImage(0xfeed);
     img::ImageU8 noisy = apps::addGaussianNoise(clean, sigma, 7);

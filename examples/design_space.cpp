@@ -19,7 +19,6 @@
 #include "hw/cost_model.hh"
 #include "img/synthetic.hh"
 #include "ret/truncation.hh"
-#include "simd/simd_cli.hh"
 #include "util/cli.hh"
 
 using namespace retsim;
@@ -28,7 +27,6 @@ int
 main(int argc, char **argv)
 {
     util::CliArgs args(argc, argv);
-    simd::backendFromCli(args); // --simd= dispatch override
 
     core::RsuConfig cfg = core::RsuConfig::newDesign();
     if (args.has("config")) {
@@ -39,14 +37,11 @@ main(int argc, char **argv)
     }
     // Individual flags override the manifest (or the defaults).
     if (args.has("energy-bits"))
-        cfg.energyBits =
-            static_cast<unsigned>(args.getInt("energy-bits", 8));
+        cfg.energyBits = args.getIntIn<unsigned>("energy-bits", 8, 0);
     if (args.has("lambda-bits"))
-        cfg.lambdaBits =
-            static_cast<unsigned>(args.getInt("lambda-bits", 4));
+        cfg.lambdaBits = args.getIntIn<unsigned>("lambda-bits", 4, 0);
     if (args.has("time-bits"))
-        cfg.timeBits =
-            static_cast<unsigned>(args.getInt("time-bits", 5));
+        cfg.timeBits = args.getIntIn<unsigned>("time-bits", 5, 0);
     if (args.has("truncation"))
         cfg.truncation = args.getDouble("truncation", 0.5);
     if (args.has("scaling"))
@@ -59,7 +54,7 @@ main(int argc, char **argv)
                               : core::LambdaQuant::Integer;
     cfg.validate();
 
-    const int sweeps = static_cast<int>(args.getInt("sweeps", 150));
+    const int sweeps = args.getIntIn("sweeps", 150, 1);
     const std::string which = args.getString("scene", "poster");
 
     img::StereoSceneSpec spec = which == "teddy"

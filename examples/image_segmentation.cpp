@@ -24,7 +24,6 @@
 #include "obs/telemetry_cli.hh"
 #include "img/synthetic.hh"
 #include "shard/shard_cli.hh"
-#include "simd/simd_cli.hh"
 #include "util/cli.hh"
 
 using namespace retsim;
@@ -33,12 +32,11 @@ int
 main(int argc, char **argv)
 {
     util::CliArgs args(argc, argv);
-    simd::backendFromCli(args); // --simd= dispatch override
     obs::TelemetryScope telemetry =
         obs::telemetryFromCli(args, "image_segmentation");
-    const int segments = static_cast<int>(args.getInt("segments", 4));
-    const int sweeps = static_cast<int>(args.getInt("sweeps", 30));
-    const std::uint64_t seed = args.getInt("seed", 9001);
+    const int segments = args.getIntIn("segments", 4, 1);
+    const int sweeps = args.getIntIn("sweeps", 30, 1);
+    const std::uint64_t seed = args.getIntIn<std::uint64_t>("seed", 9001, 0);
     const std::string outdir = args.getString("outdir", ".");
 
     img::SegmentationSceneSpec spec;

@@ -25,7 +25,6 @@
 #include "obs/telemetry_cli.hh"
 #include "img/synthetic.hh"
 #include "shard/shard_cli.hh"
-#include "simd/simd_cli.hh"
 #include "util/cli.hh"
 
 using namespace retsim;
@@ -53,11 +52,10 @@ int
 main(int argc, char **argv)
 {
     util::CliArgs args(argc, argv);
-    simd::backendFromCli(args); // --simd= dispatch override
     obs::TelemetryScope telemetry =
         obs::telemetryFromCli(args, "motion_estimation");
     const std::string which = args.getString("scene", "venus");
-    const int sweeps = static_cast<int>(args.getInt("sweeps", 150));
+    const int sweeps = args.getIntIn("sweeps", 150, 1);
     const std::string outdir = args.getString("outdir", ".");
 
     auto suite = img::standardMotionSuite();

@@ -17,7 +17,6 @@
 #include "core/sampler_rsu.hh"
 #include "core/sampler_software.hh"
 #include "img/synthetic.hh"
-#include "simd/simd_cli.hh"
 #include "util/cli.hh"
 
 using namespace retsim;
@@ -26,11 +25,10 @@ int
 main(int argc, char **argv)
 {
     util::CliArgs args(argc, argv);
-    simd::backendFromCli(args); // --simd= dispatch override
     apps::PyramidParams params;
-    params.levels = static_cast<int>(args.getInt("levels", 2));
-    params.windowRadius = static_cast<int>(args.getInt("radius", 3));
-    const int sweeps = static_cast<int>(args.getInt("sweeps", 100));
+    params.levels = args.getIntIn("levels", 2, 1);
+    params.windowRadius = args.getIntIn("radius", 3, 0);
+    const int sweeps = args.getIntIn("sweeps", 100, 1);
 
     img::MotionSceneSpec spec;
     spec.name = "large-motion";

@@ -17,7 +17,6 @@
 #include "core/sampler_rsu.hh"
 #include "core/sampler_software.hh"
 #include "rng/rng.hh"
-#include "simd/simd_cli.hh"
 #include "util/cli.hh"
 
 using namespace retsim;
@@ -26,9 +25,8 @@ int
 main(int argc, char **argv)
 {
     util::CliArgs args(argc, argv);
-    simd::backendFromCli(args); // --simd= dispatch override
     const double temperature = args.getDouble("temperature", 8.0);
-    const int draws = static_cast<int>(args.getInt("draws", 100000));
+    const int draws = args.getIntIn("draws", 100000, 1);
 
     // Conditional energies of a 4-label random variable (Eq. 1
     // output): lower energy = more probable.

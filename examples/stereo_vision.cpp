@@ -32,7 +32,6 @@
 #include "obs/telemetry_cli.hh"
 #include "img/synthetic.hh"
 #include "shard/shard_cli.hh"
-#include "simd/simd_cli.hh"
 #include "util/cli.hh"
 
 using namespace retsim;
@@ -41,11 +40,10 @@ int
 main(int argc, char **argv)
 {
     util::CliArgs args(argc, argv);
-    simd::backendFromCli(args); // --simd= dispatch override
     obs::TelemetryScope telemetry =
         obs::telemetryFromCli(args, "stereo_vision");
     const std::string which = args.getString("scene", "teddy");
-    const int sweeps = static_cast<int>(args.getInt("sweeps", 200));
+    const int sweeps = args.getIntIn("sweeps", 200, 1);
     const std::string outdir = args.getString("outdir", ".");
 
     img::StereoScene scene;
@@ -53,8 +51,8 @@ main(int argc, char **argv)
         scene = img::loadStereoScene(
             "user", args.getString("left", ""),
             args.getString("right", ""), args.getString("gt", ""),
-            static_cast<int>(args.getInt("gt-scale", 8)),
-            static_cast<int>(args.getInt("labels", 64)));
+            args.getIntIn("gt-scale", 8, 1),
+            args.getIntIn("labels", 64, 1));
     } else {
         img::StereoSceneSpec spec;
         if (which == "teddy") {

@@ -2,9 +2,9 @@
  * @file
  * Glue between util::CliArgs and RaceMode: the
  * `--race-mode=race|fastpath|auto` override flag shared by the apps,
- * benches and verification tools.  Header-only like simd_cli.hh so
- * core's CLI surface does not grow a util link dependency of its own
- * — the caller already links util.  Usage:
+ * benches and verification tools.  Header-only so core's CLI surface
+ * does not grow a util link dependency of its own — the caller
+ * already links util.  Usage:
  *
  *     util::CliArgs args(argc, argv);
  *     core::RsuConfig cfg = core::RsuConfig::newDesign();

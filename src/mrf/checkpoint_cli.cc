@@ -18,14 +18,10 @@ checkpointFromCli(const util::CliArgs &args, SolverConfig *config,
     };
 
     const std::string path = args.getString("checkpoint-path", "");
-    const long every = args.getInt("checkpoint-every", 0);
-    if (every < 0)
-        RETSIM_FATAL("--checkpoint-every expects a positive sweep "
-                     "count, got ", every);
+    const int every = args.getIntIn("checkpoint-every", 0, 0);
     if (!path.empty()) {
         config->checkpointPath = decorate(path);
-        config->checkpointEvery =
-            every > 0 ? static_cast<int>(every) : 25;
+        config->checkpointEvery = every > 0 ? every : 25;
     } else if (every > 0) {
         RETSIM_FATAL("--checkpoint-every requires --checkpoint-path");
     }

@@ -2,9 +2,10 @@
  * Runtime backend dispatch for the SIMD layer.
  *
  * Resolution order for the active backend:
- *   1. the last setBackend() call (CLI --simd= flags end up here),
+ *   1. the last setBackend() call,
  *   2. the RETSIM_SIMD environment variable,
- *   3. runtime CPU feature detection over the compiled-in backends,
+ *   3. runtime CPU detection over the compiled-in backends (AVX2,
+ *      then NEON),
  *   4. the scalar fallback.
  * A request that cannot be honored (backend not compiled in, or the
  * CPU lacks the ISA) logs a warning to stderr and falls back — it
@@ -24,70 +25,21 @@ namespace simd {
 
 namespace {
 
-bool
-cpuSupports(Backend b)
-{
-    switch (b) {
-    case Backend::Scalar:
-        return true;
-    case Backend::Sse42:
-#if defined(__x86_64__) || defined(__i386__)
-        return __builtin_cpu_supports("sse4.2") != 0;
-#else
-        return false;
-#endif
-    case Backend::Avx2:
-#if defined(__x86_64__) || defined(__i386__)
-        return __builtin_cpu_supports("avx2") != 0;
-#else
-        return false;
-#endif
-    case Backend::Avx512:
-#if defined(__x86_64__) || defined(__i386__)
-        // Checks the OS saves ZMM state too, not just the CPU bit.
-        return __builtin_cpu_supports("avx512f") != 0;
-#else
-        return false;
-#endif
-    case Backend::Neon:
-#if defined(__aarch64__)
-        return true; // AdvSIMD is AArch64 baseline.
-#else
-        return false;
-#endif
-    }
-    return false;
-}
-
 const KernelTable *
 tableIfRunnable(Backend b)
 {
-    if (!cpuSupports(b))
-        return nullptr;
     switch (b) {
     case Backend::Scalar:
         return &detail::tableScalar();
-    case Backend::Sse42:
-#if defined(RETSIM_SIMD_HAVE_SSE42)
-        return &detail::tableSse42();
-#else
-        return nullptr;
-#endif
     case Backend::Avx2:
 #if defined(RETSIM_SIMD_HAVE_AVX2)
-        return &detail::tableAvx2();
-#else
-        return nullptr;
+        if (__builtin_cpu_supports("avx2"))
+            return &detail::tableAvx2();
 #endif
-    case Backend::Avx512:
-#if defined(RETSIM_SIMD_HAVE_AVX512)
-        return &detail::tableAvx512();
-#else
         return nullptr;
-#endif
     case Backend::Neon:
 #if defined(RETSIM_SIMD_HAVE_NEON)
-        return &detail::tableNeon();
+        return &detail::tableNeon(); // AdvSIMD is AArch64 baseline.
 #else
         return nullptr;
 #endif
@@ -98,17 +50,7 @@ tableIfRunnable(Backend b)
 const KernelTable &
 bestTable()
 {
-    // Widest first; tableIfRunnable() filters both compile-time
-    // availability and CPU support.  Avx512 is deliberately NOT in
-    // the auto-dispatch order even though it is the widest: the
-    // sampling kernels run in short 16-element bursts between serial
-    // RNG segments, and on the CPUs measured the 512-bit units never
-    // stay warm — the same kernel that wins ~30% in a back-to-back
-    // loop loses ~10% in the interleaved samplers.  It stays
-    // compiled, tested for bit-identity and selectable by explicit
-    // request (RETSIM_SIMD=avx512 / --simd=avx512) for wide batch
-    // workloads.
-    for (Backend b : {Backend::Avx2, Backend::Neon, Backend::Sse42}) {
+    for (Backend b : {Backend::Avx2, Backend::Neon}) {
         if (const KernelTable *t = tableIfRunnable(b))
             return *t;
     }
@@ -126,12 +68,8 @@ resolveSpec(const char *spec)
     if (std::strcmp(spec, "off") == 0 ||
         std::strcmp(spec, "scalar") == 0)
         want = Backend::Scalar;
-    else if (std::strcmp(spec, "sse42") == 0)
-        want = Backend::Sse42;
     else if (std::strcmp(spec, "avx2") == 0)
         want = Backend::Avx2;
-    else if (std::strcmp(spec, "avx512") == 0)
-        want = Backend::Avx512;
     else if (std::strcmp(spec, "neon") == 0)
         want = Backend::Neon;
     else
@@ -156,8 +94,7 @@ initialTable()
             return *t;
         std::fprintf(stderr,
                      "retsim: ignoring unrecognized RETSIM_SIMD='%s' "
-                     "(want off|scalar|sse42|avx2|avx512|neon|auto)"
-                     "\n",
+                     "(want off|scalar|avx2|neon|auto)\n",
                      env);
     }
     return bestTable();
@@ -190,12 +127,8 @@ backendName(Backend b)
     switch (b) {
     case Backend::Scalar:
         return "scalar";
-    case Backend::Sse42:
-        return "sse42";
     case Backend::Avx2:
         return "avx2";
-    case Backend::Avx512:
-        return "avx512";
     case Backend::Neon:
         return "neon";
     }
@@ -209,8 +142,7 @@ setBackend(const std::string &spec)
     if (t == nullptr) {
         std::fprintf(stderr,
                      "retsim: ignoring unrecognized SIMD backend "
-                     "'%s' (want off|scalar|sse42|avx2|avx512|neon|"
-                     "auto)\n",
+                     "'%s' (want off|scalar|avx2|neon|auto)\n",
                      spec.c_str());
         t = &kernels();
     }
@@ -222,8 +154,7 @@ std::vector<Backend>
 runnableBackends()
 {
     std::vector<Backend> out{Backend::Scalar};
-    for (Backend b : {Backend::Sse42, Backend::Avx2, Backend::Avx512,
-                      Backend::Neon}) {
+    for (Backend b : {Backend::Avx2, Backend::Neon}) {
         if (tableIfRunnable(b) != nullptr)
             out.push_back(b);
     }

@@ -10,17 +10,18 @@
  * lets the batched row samplers reproduce the per-pixel scalar
  * samplers byte for byte regardless of the active backend.
  *
+ * Backends: scalar (the reference, and the portable fallback), AVX2
+ * (compiled on x86) and NEON (compiled on AArch64), all built from
+ * one kernel template (vecmath.hh `makeTable`).
+ *
  * Dispatch: `activeBackend()` is resolved once on first use from (in
  * priority order) a `setBackend()` override, the `RETSIM_SIMD`
- * environment variable (`off|sse42|avx2|avx512|neon|auto`), and runtime CPU
- * feature detection, falling back to the scalar backend.  Backends
- * not compiled in (CMake `RETSIM_SIMD=OFF`, or a foreign ISA) are
- * never selected; requesting one explicitly falls back to scalar
- * with a warning.  The avx512 backend is never auto-selected (short
- * kernel bursts between serial RNG segments keep the 512-bit units
- * cold and net-slower on measured parts — see dispatch.cc); it runs
- * only on explicit request.  `kernelsFor()` exposes every compiled backend so
- * the equivalence tests can compare them without re-execing.
+ * environment variable (`off|scalar|avx2|neon|auto`), and runtime CPU
+ * detection (AVX2 > NEON > scalar).  A backend for a foreign ISA, or
+ * one the CPU lacks, is never selected; requesting one explicitly
+ * falls back to scalar with a warning.  `kernelsFor()` exposes every
+ * runnable backend so the equivalence tests can compare them without
+ * re-execing.
  */
 
 #ifndef RETSIM_SIMD_KERNELS_HH
@@ -36,9 +37,7 @@ namespace simd {
 
 enum class Backend {
     Scalar,
-    Sse42,
     Avx2,
-    Avx512,
     Neon,
 };
 
@@ -60,7 +59,10 @@ struct KernelTable
     Backend backend;
     const char *name;
 
-    /** out[i] = log(x[i]) (retsim vecmath, not libm). */
+    /** out[i] = log(x[i]) (retsim vecmath, not libm).  No sampler
+     *  calls it; it is the batch entry the ULP-bound tests use to
+     *  check the log core that expDraw, expDrawBin and ttfBins
+     *  share. */
     void (*logBatch)(const double *x, double *out, std::size_t n);
     /** out[i] = exp(x[i]) (retsim vecmath, not libm). */
     void (*expBatch)(const double *x, double *out, std::size_t n);
@@ -99,8 +101,7 @@ struct KernelTable
                                 bool drop_truncated, double *bins);
     /** Elementwise half of expDrawBin: draw and bin-quantize without
      *  the per-pixel reduction, so many pixels' draws batch through
-     *  one dispatch (long bursts keep wide vector units warm — the
-     *  per-pixel expDrawBin bursts are what left AVX-512 cold).
+     *  one dispatch instead of one short burst per pixel.
      *  bins[i] is bit-identical to expDrawBin's in-place bins output
      *  for the same inputs; a scalar min-scan over a pixel's slice
      *  therefore reproduces its BinRaceResult exactly.  In-place
@@ -108,17 +109,10 @@ struct KernelTable
     void (*ttfBins)(const double *u, const double *rates,
                     std::size_t n, double t_max, bool drop_truncated,
                     double *bins);
-    /** out[i] = table[(size_t)(q[i] - e_min)]: the energy-to-rate
-     *  table stage.  Every q[i] - e_min must be an exact non-negative
-     *  integer below 2^32 indexing into table.  In-place (q == out)
-     *  is supported. */
-    void (*gatherRates)(const double *q, double e_min,
-                        const double *table, double *out,
-                        std::size_t n);
-    /** Fused quantizeEnergies + gatherRates over one pixel's label
-     *  energies: rates[i] = table[q(e[i]) - (subtract_min ? min_j
-     *  q(e[j]) : 0)].  Value-identical to calling the two standalone
-     *  kernels; one dispatch instead of two on the per-pixel path. */
+    /** quantizeEnergies fused with the energy-to-rate table stage
+     *  over one pixel's label energies: rates[i] = table[q(e[i]) -
+     *  (subtract_min ? min_j q(e[j]) : 0)].  Every index must fall
+     *  inside table. */
     void (*quantizeGatherRates)(const float *e, double top,
                                 bool subtract_min,
                                 const double *table, double *rates,
@@ -155,16 +149,16 @@ const KernelTable &kernels();
 /** Currently active backend. */
 Backend activeBackend();
 
-/** Human-readable name of a backend ("scalar", "sse42", ...). */
+/** Human-readable name of a backend ("scalar", "avx2", "neon"). */
 const char *backendName(Backend b);
 
 /**
- * Force a backend.  Unknown/uncompiled/unsupported requests fall back
- * to the best available level (for "auto") or to scalar (for a named
- * backend that can't run), returning the backend actually selected.
- * Accepts the same spellings as the RETSIM_SIMD env var:
- * off|scalar|sse42|avx2|avx512|neon|auto.  Not thread-safe against
- * concurrent kernel use; call it at startup.
+ * Force a backend, returning the backend actually selected.  Accepts
+ * the same spellings as the RETSIM_SIMD env var:
+ * off|scalar|avx2|neon|auto.  A named backend that cannot run here
+ * falls back to scalar; an unrecognized spec is ignored with a
+ * warning and leaves the active backend unchanged.  Not thread-safe
+ * against concurrent kernel use; call it at startup.
  */
 Backend setBackend(const std::string &spec);
 

@@ -12,121 +12,13 @@
 namespace retsim {
 namespace simd {
 
-namespace {
-
-void
-logBatch(const double *x, double *out, std::size_t n)
-{
-    detail::logBatchT<VScalar>(x, out, n);
-}
-
-void
-expBatch(const double *x, double *out, std::size_t n)
-{
-    detail::expBatchT<VScalar>(x, out, n);
-}
-
-void
-expDraw(const double *u, const double *rates, double *out,
-        std::size_t n)
-{
-    detail::expDrawT<VScalar>(u, rates, out, n);
-}
-
-void
-expWeights(const float *e, double e_min, double temperature,
-           double *out, std::size_t n)
-{
-    detail::expWeightsT<VScalar>(e, e_min, temperature, out, n);
-}
-
-void
-addRows5(const float *s, const float *a, const float *b,
-         const float *c, const float *d, float *out, std::size_t n)
-{
-    detail::addRows5T<VScalar>(s, a, b, c, d, out, n);
-}
-
-std::size_t
-argmin(const double *t, std::size_t n)
-{
-    return detail::argminT<VScalar>(t, n);
-}
-
-
-double
-quantizeEnergies(const float *e, double top, double *q, std::size_t n)
-{
-    return detail::quantizeEnergiesT<VScalar>(e, top, q, n);
-}
-
-BinRaceResult
-expDrawBin(const double *u, const double *rates, std::size_t n,
-           double t_max, bool drop_truncated, double *bins)
-{
-    return detail::expDrawBinT<VScalar>(u, rates, n, t_max,
-                                      drop_truncated, bins);
-}
-
-void
-ttfBins(const double *u, const double *rates, std::size_t n,
-        double t_max, bool drop_truncated, double *bins)
-{
-    detail::ttfBinsT<VScalar>(u, rates, n, t_max, drop_truncated, bins);
-}
-
-
-void
-gatherRates(const double *q, double e_min, const double *table,
-            double *out, std::size_t n)
-{
-    detail::gatherRatesT<VScalar>(q, e_min, table, out, n);
-}
-
-void
-quantizeGatherRates(const float *e, double top, bool subtract_min,
-                    const double *table, double *rates,
-                    std::size_t n)
-{
-    detail::quantizeGatherRatesT<VScalar>(e, top, subtract_min, table,
-                                        rates, n);
-}
-
-
-void
-quantizeClassifyRow(const float *e, double top, bool subtract_min,
-                    const std::uint8_t *cls, std::size_t n,
-                    std::size_t m, std::uint64_t *out)
-{
-    for (std::size_t p = 0; p < n; ++p) {
-        detail::quantizeClassifyT<VScalar>(e + p * m, top, subtract_min,
-                                      cls, m, out[3 * p],
-                                      out[3 * p + 1],
-                                      out[3 * p + 2]);
-    }
-}
-
-void
-gibbsWeightsRow(const float *e, std::size_t n, std::size_t m,
-                double temperature, double *w)
-{
-    detail::gibbsWeightsRowT<VScalar>(e, n, m, temperature, w);
-}
-
-} // namespace
-
 namespace detail {
 
 const KernelTable &
 tableScalar()
 {
-    static const KernelTable t{Backend::Scalar, "scalar",  logBatch,
-                               expBatch,        expDraw,   expWeights,
-                               addRows5,        argmin,        quantizeEnergies,        expDrawBin,
-                               ttfBins,
-                               gatherRates,   quantizeGatherRates,
-                               quantizeClassifyRow,
-                               gibbsWeightsRow};
+    static constexpr KernelTable t =
+        makeTable<VScalar>(Backend::Scalar, "scalar");
     return t;
 }
 

@@ -17,18 +17,8 @@ namespace simd {
 namespace detail {
 
 const KernelTable &tableScalar();
-#if defined(RETSIM_SIMD_HAVE_SSE42)
-const KernelTable &tableSse42();
-#endif
-#if defined(RETSIM_SIMD_HAVE_AVX2)
 const KernelTable &tableAvx2();
-#endif
-#if defined(RETSIM_SIMD_HAVE_AVX512)
-const KernelTable &tableAvx512();
-#endif
-#if defined(RETSIM_SIMD_HAVE_NEON)
 const KernelTable &tableNeon();
-#endif
 
 } // namespace detail
 } // namespace simd

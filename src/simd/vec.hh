@@ -35,9 +35,7 @@
 #include <cstdint>
 #include <cstring>
 
-#if defined(RETSIM_SIMD_BACKEND_SSE42) ||                             \
-    defined(RETSIM_SIMD_BACKEND_AVX2) ||                              \
-    defined(RETSIM_SIMD_BACKEND_AVX512)
+#if defined(RETSIM_SIMD_BACKEND_AVX2)
 #include <immintrin.h>
 #endif
 #if defined(RETSIM_SIMD_BACKEND_NEON)
@@ -111,94 +109,6 @@ struct VScalar
         return static_cast<double>(*p);
     }
 };
-
-#if defined(RETSIM_SIMD_BACKEND_SSE42)
-/** SSE4.2 backend: 2 double lanes / 4 float lanes. */
-struct VSse42
-{
-    static constexpr int kWidth = 2;
-    static constexpr int kWidthF = 4;
-    using vd = __m128d;
-    using vi = __m128i;
-    using vm = __m128d; // all-ones / all-zeros lane mask
-    using vf = __m128;
-
-    static vd set1(double v) { return _mm_set1_pd(v); }
-    static vd load(const double *p) { return _mm_loadu_pd(p); }
-    static void store(double *p, vd v) { _mm_storeu_pd(p, v); }
-
-    static vd add(vd a, vd b) { return _mm_add_pd(a, b); }
-    static vd sub(vd a, vd b) { return _mm_sub_pd(a, b); }
-    static vd mul(vd a, vd b) { return _mm_mul_pd(a, b); }
-    static vd div(vd a, vd b) { return _mm_div_pd(a, b); }
-    static vd neg(vd a)
-    {
-        return _mm_xor_pd(a, _mm_set1_pd(-0.0));
-    }
-    static vd min(vd a, vd b) { return _mm_min_pd(b, a); }
-    static vd max(vd a, vd b) { return _mm_max_pd(b, a); }
-    static vd roundNearest(vd a)
-    {
-        return _mm_round_pd(a,
-                            _MM_FROUND_TO_NEAREST_INT |
-                                _MM_FROUND_NO_EXC);
-    }
-    static vd floor(vd a)
-    {
-        return _mm_round_pd(a, _MM_FROUND_TO_NEG_INF |
-                                   _MM_FROUND_NO_EXC);
-    }
-
-    static vi toBits(vd a) { return _mm_castpd_si128(a); }
-    static vd fromBits(vi a) { return _mm_castsi128_pd(a); }
-    static vi set1i(std::uint64_t v)
-    {
-        return _mm_set1_epi64x(static_cast<long long>(v));
-    }
-    static vi addi(vi a, vi b) { return _mm_add_epi64(a, b); }
-    static vi subi(vi a, vi b) { return _mm_sub_epi64(a, b); }
-    static vi andi(vi a, vi b) { return _mm_and_si128(a, b); }
-    static vi ori(vi a, vi b) { return _mm_or_si128(a, b); }
-    static vi xori(vi a, vi b) { return _mm_xor_si128(a, b); }
-    template <int N> static vi shli(vi a)
-    {
-        return _mm_slli_epi64(a, N);
-    }
-    template <int N> static vi shri(vi a)
-    {
-        return _mm_srli_epi64(a, N);
-    }
-
-    static vm cmplt(vd a, vd b) { return _mm_cmplt_pd(a, b); }
-    static vm cmple(vd a, vd b) { return _mm_cmple_pd(a, b); }
-    static vm cmpeq(vd a, vd b) { return _mm_cmpeq_pd(a, b); }
-    static vd select(vm m, vd a, vd b)
-    {
-        return _mm_blendv_pd(b, a, m);
-    }
-    static int moveMask(vm m) { return _mm_movemask_pd(m); }
-    static vd andm(vm m, vd v) { return _mm_and_pd(m, v); }
-    static vm orm(vm a, vm b) { return _mm_or_pd(a, b); }
-    static vd gather(const double *p, vi idx)
-    {
-        const double lo = p[static_cast<std::uint64_t>(
-            _mm_cvtsi128_si64(idx))];
-        const double hi = p[static_cast<std::uint64_t>(
-            _mm_extract_epi64(idx, 1))];
-        return _mm_set_pd(hi, lo);
-    }
-
-    static vf loadF(const float *p) { return _mm_loadu_ps(p); }
-    static void storeF(float *p, vf v) { _mm_storeu_ps(p, v); }
-    static vf addF(vf a, vf b) { return _mm_add_ps(a, b); }
-    static vd loadFtoD(const float *p)
-    {
-        return _mm_cvtps_pd(
-            _mm_castsi128_ps(_mm_loadl_epi64(
-                reinterpret_cast<const __m128i *>(p))));
-    }
-};
-#endif // RETSIM_SIMD_BACKEND_SSE42
 
 #if defined(RETSIM_SIMD_BACKEND_AVX2)
 /** AVX2 backend: 4 double lanes / 8 float lanes.  No FMA even where
@@ -291,109 +201,6 @@ struct VAvx2
     }
 };
 #endif // RETSIM_SIMD_BACKEND_AVX2
-
-#if defined(RETSIM_SIMD_BACKEND_AVX512)
-/** AVX-512 backend: 8 double lanes / 16 float lanes.  Uses only the
- *  AVX-512F op subset (every op here is an exact IEEE primitive, like
- *  the narrower backends); masks are the native predicate registers
- *  (__mmask8), so select/andm compile to masked moves instead of
- *  blends.  No FMA — see the bit-exactness ground rules above. */
-struct VAvx512
-{
-    static constexpr int kWidth = 8;
-    static constexpr int kWidthF = 16;
-    using vd = __m512d;
-    using vi = __m512i;
-    using vm = __mmask8;
-    using vf = __m512;
-
-    static vd set1(double v) { return _mm512_set1_pd(v); }
-    static vd load(const double *p) { return _mm512_loadu_pd(p); }
-    static void store(double *p, vd v) { _mm512_storeu_pd(p, v); }
-
-    static vd add(vd a, vd b) { return _mm512_add_pd(a, b); }
-    static vd sub(vd a, vd b) { return _mm512_sub_pd(a, b); }
-    static vd mul(vd a, vd b) { return _mm512_mul_pd(a, b); }
-    static vd div(vd a, vd b) { return _mm512_div_pd(a, b); }
-    static vd neg(vd a)
-    {
-        // Sign-bit flip through the integer domain: AVX-512F has no
-        // 512-bit xor_pd (that is DQ) and this backend sticks to F.
-        return _mm512_castsi512_pd(_mm512_xor_si512(
-            _mm512_castpd_si512(a),
-            _mm512_set1_epi64(
-                static_cast<long long>(0x8000000000000000ULL))));
-    }
-    static vd min(vd a, vd b) { return _mm512_min_pd(b, a); }
-    static vd max(vd a, vd b) { return _mm512_max_pd(b, a); }
-    static vd roundNearest(vd a)
-    {
-        return _mm512_roundscale_pd(a,
-                                    _MM_FROUND_TO_NEAREST_INT |
-                                        _MM_FROUND_NO_EXC);
-    }
-    static vd floor(vd a)
-    {
-        return _mm512_roundscale_pd(a, _MM_FROUND_TO_NEG_INF |
-                                           _MM_FROUND_NO_EXC);
-    }
-
-    static vi toBits(vd a) { return _mm512_castpd_si512(a); }
-    static vd fromBits(vi a) { return _mm512_castsi512_pd(a); }
-    static vi set1i(std::uint64_t v)
-    {
-        return _mm512_set1_epi64(static_cast<long long>(v));
-    }
-    static vi addi(vi a, vi b) { return _mm512_add_epi64(a, b); }
-    static vi subi(vi a, vi b) { return _mm512_sub_epi64(a, b); }
-    static vi andi(vi a, vi b) { return _mm512_and_si512(a, b); }
-    static vi ori(vi a, vi b) { return _mm512_or_si512(a, b); }
-    static vi xori(vi a, vi b) { return _mm512_xor_si512(a, b); }
-    template <int N> static vi shli(vi a)
-    {
-        return _mm512_slli_epi64(a, N);
-    }
-    template <int N> static vi shri(vi a)
-    {
-        return _mm512_srli_epi64(a, N);
-    }
-
-    static vm cmplt(vd a, vd b)
-    {
-        return _mm512_cmp_pd_mask(a, b, _CMP_LT_OQ);
-    }
-    static vm cmple(vd a, vd b)
-    {
-        return _mm512_cmp_pd_mask(a, b, _CMP_LE_OQ);
-    }
-    static vm cmpeq(vd a, vd b)
-    {
-        return _mm512_cmp_pd_mask(a, b, _CMP_EQ_OQ);
-    }
-    static vd select(vm m, vd a, vd b)
-    {
-        return _mm512_mask_blend_pd(m, b, a);
-    }
-    static int moveMask(vm m) { return static_cast<int>(m); }
-    static vd andm(vm m, vd v) { return _mm512_maskz_mov_pd(m, v); }
-    static vm orm(vm a, vm b)
-    {
-        return static_cast<vm>(a | b);
-    }
-    static vd gather(const double *p, vi idx)
-    {
-        return _mm512_i64gather_pd(idx, p, 8);
-    }
-
-    static vf loadF(const float *p) { return _mm512_loadu_ps(p); }
-    static void storeF(float *p, vf v) { _mm512_storeu_ps(p, v); }
-    static vf addF(vf a, vf b) { return _mm512_add_ps(a, b); }
-    static vd loadFtoD(const float *p)
-    {
-        return _mm512_cvtps_pd(_mm256_loadu_ps(p));
-    }
-};
-#endif // RETSIM_SIMD_BACKEND_AVX512
 
 #if defined(RETSIM_SIMD_BACKEND_NEON)
 /** NEON (AArch64) backend: 2 double lanes / 4 float lanes. */

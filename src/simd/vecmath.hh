@@ -935,8 +935,51 @@ gibbsWeightsRowT(const float *e, std::size_t n, std::size_t m,
     expBatchT<V>(w, w, n * m);
 }
 
-#if defined(RETSIM_SIMD_BACKEND_AVX2) ||                              \
-    defined(RETSIM_SIMD_BACKEND_AVX512)
+/** quantizeClassifyT over a row of n pixels of m labels each, pixel
+ *  p's words at out[3p .. 3p+2]. */
+template <typename V>
+inline void
+quantizeClassifyRowT(const float *e, double top, bool subtract_min,
+                     const std::uint8_t *cls, std::size_t n,
+                     std::size_t m, std::uint64_t *out)
+{
+    for (std::size_t p = 0; p < n; ++p) {
+        quantizeClassifyT<V>(e + p * m, top, subtract_min, cls, m,
+                             out[3 * p], out[3 * p + 1],
+                             out[3 * p + 2]);
+    }
+}
+
+/**
+ * The kernel table of backend @p V: every slot points straight at
+ * the template instantiated for V.  Each backend TU calls this for
+ * its own V only, so every instantiation is compiled under exactly
+ * one ISA flag (an inline function compiled under two flags leaves
+ * two weak copies, and the linker may keep either one).
+ */
+template <typename V>
+constexpr KernelTable
+makeTable(Backend backend, const char *name)
+{
+    return KernelTable{
+        .backend = backend,
+        .name = name,
+        .logBatch = &logBatchT<V>,
+        .expBatch = &expBatchT<V>,
+        .expDraw = &expDrawT<V>,
+        .expWeights = &expWeightsT<V>,
+        .addRows5 = &addRows5T<V>,
+        .argmin = &argminT<V>,
+        .quantizeEnergies = &quantizeEnergiesT<V>,
+        .expDrawBin = &expDrawBinT<V>,
+        .ttfBins = &ttfBinsT<V>,
+        .quantizeGatherRates = &quantizeGatherRatesT<V>,
+        .quantizeClassifyRow = &quantizeClassifyRowT<V>,
+        .gibbsWeightsRow = &gibbsWeightsRowT<V>,
+    };
+}
+
+#if defined(RETSIM_SIMD_BACKEND_AVX2)
 /*
  * AVX2 16-label core of quantizeClassifyT.  The
  * quantization runs in the float domain: float -> double widening is
@@ -1051,7 +1094,7 @@ quantizeClassify16Avx2(const float *e, double top, bool subtract_min,
     return static_cast<double>(e_min);
 }
 
-#endif // AVX2 / AVX512 backend TU
+#endif // RETSIM_SIMD_BACKEND_AVX2
 
 } // namespace detail
 } // namespace simd

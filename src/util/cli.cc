@@ -52,6 +52,17 @@ CliArgs::getInt(const std::string &key, long def) const
     return v;
 }
 
+long
+CliArgs::getIntInRange(const std::string &key, long def, long lo,
+                       long hi) const
+{
+    const long v = getInt(key, def);
+    if (v < lo || v > hi)
+        RETSIM_FATAL("--", key, "=", v, " is out of range [", lo, ", ",
+                     hi, "]");
+    return v;
+}
+
 double
 CliArgs::getDouble(const std::string &key, double def) const
 {

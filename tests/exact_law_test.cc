@@ -12,13 +12,20 @@
  * must histogram to it.  Raster, random-scan, serial checkerboard,
  * striped checkerboard and 2-shard runs are each checked with a
  * chi-square test; bins whose expected count is below 5 are pooled.
+ *
+ * The random-scan law also needs a uniform visit order, which the
+ * state histogram is too coarse to see; RandomScanOrderIsUniform
+ * checks the order itself.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -166,6 +173,92 @@ TEST(ExactLaw, RandomScanGibbs)
     mrf::SolverConfig cfg = fixedTemperature();
     cfg.randomScan = true;
     expectSamplesExactLaw(p, exactLaw(p), cfg, gibbs);
+}
+
+/** Records the pixel each update visits, read back from label 0's
+ *  conditional energy, and keeps every label, so the energies never
+ *  change. */
+class VisitRecorder : public mrf::LabelSampler
+{
+  public:
+    int
+    sample(std::span<const float> energies, double, int current,
+           rng::Rng &) override
+    {
+        visits.push_back(static_cast<int>(energies[0]));
+        return current;
+    }
+    std::string name() const override { return "visit-recorder"; }
+    std::unique_ptr<mrf::LabelSampler>
+    clone(std::uint64_t) const override
+    {
+        return std::make_unique<VisitRecorder>();
+    }
+
+    std::vector<int> visits;
+};
+
+TEST(ExactLaw, RandomScanOrderIsUniform)
+{
+    // A 2x2 grid whose label-0 singleton is the pixel index; with
+    // every label 0 from the start and kept, the pairwise terms of
+    // label 0 are zero, so each update's energies name its pixel.
+    constexpr int kScanPixels = 4;
+    constexpr int kOrders = 24; // 4!
+    constexpr std::size_t kScanSweeps = 240000;
+    mrf::MrfProblem p(2, 2,
+                      mrf::PairwiseTable(mrf::DistanceKind::Binary, 2,
+                                         1.0),
+                      "scan-order");
+    for (int i = 0; i < kScanPixels; ++i)
+        p.singleton(i % 2, i / 2, 0) = static_cast<float>(i);
+    mrf::SolverConfig cfg = fixedTemperature();
+    cfg.annealing.sweeps = static_cast<int>(kScanSweeps);
+    cfg.randomScan = true;
+    cfg.randomInit = false;
+    VisitRecorder recorder;
+    mrf::GibbsSolver(cfg).run(p, recorder);
+    ASSERT_EQ(recorder.visits.size(), kScanSweeps * kScanPixels);
+
+    // The solver reshuffles the previous sweep's order in place, so
+    // the histogram of the orders themselves stays flat even for a
+    // shuffle that can only produce cycles (Sattolo's off-by-one):
+    // its random walk still visits every order equally often.  What
+    // must be uniform, and independent of the past, is the shuffle
+    // each sweep applies: step[k] = the previous sweep's position of
+    // the k-th pixel visited now (the identity order before sweep 0).
+    std::vector<std::uint64_t> steps(kOrders, 0);
+    std::vector<std::uint64_t> first(kScanPixels, 0);
+    int prev[kScanPixels] = {0, 1, 2, 3};
+    for (std::size_t s = 0; s < kScanSweeps; ++s) {
+        const int *v = recorder.visits.data() + s * kScanPixels;
+        int step[kScanPixels];
+        int seen = 0;
+        for (int k = 0; k < kScanPixels; ++k) {
+            seen |= 1 << v[k];
+            step[k] = static_cast<int>(
+                std::find(prev, prev + kScanPixels, v[k]) - prev);
+        }
+        ASSERT_EQ(seen, (1 << kScanPixels) - 1)
+            << "sweep " << s << " is not a permutation";
+        // Lehmer rank of the step permutation, in [0, 4!).
+        int rank = 0;
+        for (int i = 0; i < kScanPixels; ++i) {
+            int smaller_later = 0;
+            for (int j = i + 1; j < kScanPixels; ++j)
+                smaller_later += step[j] < step[i] ? 1 : 0;
+            rank = rank * (kScanPixels - i) + smaller_later;
+        }
+        ++steps[static_cast<std::size_t>(rank)];
+        ++first[static_cast<std::size_t>(step[0])];
+        std::copy(v, v + kScanPixels, prev);
+    }
+    for (const std::vector<std::uint64_t> *counts : {&steps, &first}) {
+        const std::vector<double> uniform(counts->size(), 1.0);
+        EXPECT_TRUE(util::chiSquareConsistent(*counts, uniform))
+            << "chi-square " << util::chiSquareStatistic(*counts, uniform)
+            << " over " << counts->size() << " bins";
+    }
 }
 
 TEST(ExactLaw, SerialCheckerboard)

@@ -8,6 +8,7 @@
  */
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <ostream>
 #include <string>
@@ -219,11 +220,38 @@ TEST(CliHardeningDeathTest, MalformedNumericFlagsAreFatal)
                 "option --t0 expects a finite number");
 }
 
+TEST(CliHardeningDeathTest, OutOfRangeIntegerFlagsAreFatalNotWrapped)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // 2^32 + 3 would narrow to 3 sweeps, and -1 to the largest seed.
+    const char *argv[] = {"prog", "--sweeps=4294967299", "--seed=-1",
+                          "--time-bits=4294967301", "--labels=0"};
+    util::CliArgs args(5, argv);
+    EXPECT_EXIT(args.getIntIn("sweeps", 1, 1),
+                ::testing::ExitedWithCode(1),
+                "--sweeps=4294967299 is out of range");
+    EXPECT_EXIT(args.getIntIn<std::uint64_t>("seed", 1, 0),
+                ::testing::ExitedWithCode(1),
+                "--seed=-1 is out of range");
+    EXPECT_EXIT(args.getIntIn<unsigned>("time-bits", 5, 0),
+                ::testing::ExitedWithCode(1),
+                "--time-bits=4294967301 is out of range");
+    EXPECT_EXIT(args.getIntIn("labels", 16, 1),
+                ::testing::ExitedWithCode(1),
+                "--labels=0 is out of range");
+}
+
 TEST(CliHardening, WellFormedFlagsStillParse)
 {
     const char *argv[] = {"prog", "--sweeps=25", "--t0=4.5",
-                          "scene.pgm"};
-    util::CliArgs args(4, argv);
+                          "scene.pgm", "--threads=2147483647",
+                          "--seed=9223372036854775807"};
+    util::CliArgs args(6, argv);
+    EXPECT_EQ(args.getIntIn("sweeps", 1, 1), 25);
+    EXPECT_EQ(args.getIntIn("threads", 1, 0), 2147483647);
+    EXPECT_EQ(args.getIntIn<std::uint64_t>("seed", 1, 0),
+              9223372036854775807ULL);
+    EXPECT_EQ(args.getIntIn("absent", -1, -1), -1);
     EXPECT_EQ(args.getInt("sweeps", 1), 25);
     EXPECT_EQ(args.getDouble("t0", 1.0), 4.5);
     EXPECT_EQ(args.getInt("absent", 9), 9);

@@ -54,7 +54,6 @@
 #include "mrf/checkpoint.hh"
 #include "obs/telemetry_cli.hh"
 #include "shard/shard_cli.hh"
-#include "simd/simd_cli.hh"
 #include "util/cli.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
@@ -376,7 +375,6 @@ int
 main(int argc, char **argv)
 {
     util::CliArgs args(argc, argv);
-    simd::backendFromCli(args); // --simd= dispatch override
     g_race_mode = core::raceModeFromCli(args);
     g_shard_options = shard::shardOptionsFromCli(args);
     g_threads = shard::threadsFromCli(args);
@@ -391,18 +389,14 @@ main(int argc, char **argv)
 
     CheckpointDrill drill;
     drill.dir = args.getString("checkpoint-dir", "");
-    drill.every = static_cast<int>(args.getInt("checkpoint-every", 5));
+    drill.every = args.getIntIn("checkpoint-every", 5, 1);
     drill.resume = args.getBool("resume", false);
-    drill.dieAtSweep =
-        static_cast<int>(args.getInt("die-at-sweep", -1));
+    drill.dieAtSweep = args.getIntIn("die-at-sweep", -1, -1);
     if (drill.dir.empty() &&
         (drill.resume || drill.dieAtSweep > 0 ||
          args.has("checkpoint-every")))
         RETSIM_FATAL("--resume/--die-at-sweep/--checkpoint-every "
                      "require --checkpoint-dir");
-    if (!drill.dir.empty() && drill.every <= 0)
-        RETSIM_FATAL("--checkpoint-every expects a positive sweep "
-                     "count, got ", drill.every);
 
     std::map<std::string, double> values = runMiniatureApps(drill);
 

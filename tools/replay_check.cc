@@ -19,11 +19,11 @@
  *
  * Modes: gibbs (raster), gibbs-rand (random scan), cb (checkerboard
  * serial), cb-striped (4 stripes, 2 threads).  The full app matrix
- * runs on the active backend; every other runnable SIMD backend is
- * exercised with the stereo app across all modes.
+ * runs on the active backend (RETSIM_SIMD=<spec> picks it); every
+ * other runnable SIMD backend is exercised with the stereo app across
+ * all modes.
  *
  *   ./replay_check [--sweeps=16] [--kill-at=7] [--tmpdir=.]
- *                  [--simd=auto|off|sse42|...]
  *
  * Exit 0: every case byte-identical.  Exit 1: divergence (the failing
  * cases are named).  Exit 2: setup failure.
@@ -51,7 +51,6 @@
 #include "mrf/gibbs.hh"
 #include "rng/rng.hh"
 #include "simd/kernels.hh"
-#include "simd/simd_cli.hh"
 #include "util/cli.hh"
 
 namespace {
@@ -265,12 +264,11 @@ int
 main(int argc, char **argv)
 {
     util::CliArgs args(argc, argv);
-    simd::backendFromCli(args); // --simd= dispatch override
     g_race_mode = core::raceModeFromCli(args);
-    const int sweeps = static_cast<int>(args.getInt("sweeps", 16));
-    const int kill_at = static_cast<int>(args.getInt("kill-at", 7));
+    const int sweeps = args.getIntIn("sweeps", 16, 2);
+    const int kill_at = args.getIntIn("kill-at", 7, 1);
     const std::string tmpdir = args.getString("tmpdir", ".");
-    if (sweeps < 2 || kill_at < 1 || kill_at >= sweeps) {
+    if (kill_at >= sweeps) {
         std::fprintf(stderr,
                      "replay_check: need 1 <= kill-at < sweeps\n");
         return 2;
