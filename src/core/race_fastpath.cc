@@ -141,20 +141,6 @@ struct RaceCacheMetricIds
     }
 };
 
-/** SplitMix64-style fold of the per-class counts; the memo verifies
- *  the full vector, so this only has to spread slots. */
-std::uint64_t
-hashCounts(const std::vector<std::uint32_t> &counts)
-{
-    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-    for (std::uint32_t w : counts) {
-        h ^= w + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-        h *= 0xff51afd7ed558ccdULL;
-        h ^= h >> 33;
-    }
-    return h;
-}
-
 /** SplitMix64 finalizer for the packed count word. */
 std::uint64_t
 mix64(std::uint64_t h)
@@ -297,7 +283,6 @@ RaceFastPath::RaceFastPath(const RsuConfig &cfg) : cfg_(cfg)
     drawsPerPixel_ = cfg.timeQuant == TimeQuant::Float ? 1u : 3u;
     tMax_ = static_cast<double>(cfg.tMaxBins());
     modeWord_ = RaceTableCache::modeWord(cfg);
-    memo_.resize(kMemoSlots);
 }
 
 bool
@@ -386,14 +371,10 @@ RaceFastPath::bindRateTable(std::span<const double> rate_table)
             if (alphabet_[c] > 0.0)
                 firingMask_ |= 0xffULL << (8 * c);
         counts_.assign(alphabet_.size(), 0);
-        // Class indices changed meaning; drop the memos (the global
-        // cache keeps the tables — its keys are canonical).
-        if (packedOk_)
-            packedMemo_.assign(kPackedSlots, PackedEntry{});
-        else
-            packedMemo_.clear();
-        tableMemo_.clear();
-        memo_.assign(kMemoSlots, MemoEntry{});
+        // Class indices changed meaning, so the count-word keys did
+        // too; the next packed-lane race re-creates the empty slots.
+        // The table memo and the global cache key on rates and survive.
+        packedMemo_.clear();
     }
     classOf_.resize(rate_table.size());
     for (std::size_t i = 0; i < rate_table.size(); ++i) {
@@ -416,9 +397,6 @@ RaceFastPath::bindRateTable(std::span<const double> rate_table)
 const RaceTable *
 RaceFastPath::lookupClassTable()
 {
-    MemoEntry &e = memo_[hashCounts(counts_) & (kMemoSlots - 1)];
-    if (e.table && e.counts == counts_)
-        return e.table.get();
     key_.clear();
     key_.push_back(modeWord_);
     for (std::size_t c = 0; c < counts_.size(); ++c) {
@@ -427,9 +405,7 @@ RaceFastPath::lookupClassTable()
         key_.push_back(std::bit_cast<std::uint64_t>(alphabet_[c]));
         key_.push_back(counts_[c]);
     }
-    e.table = RaceTableCache::global().get(key_);
-    e.counts = counts_;
-    return e.table.get();
+    return fetchTable();
 }
 
 const RaceTable *
@@ -437,14 +413,17 @@ RaceFastPath::fetchTable()
 {
     // Direct-mapped front of the global table cache, keyed by the
     // same canonical key (word 0 mode, then rate/count pairs), so a
-    // packed-memo refill usually touches no mutex and no std::map.
+    // packed-memo fill or a general-lane Random draw usually touches
+    // no mutex and no std::map.
     // The full key is compared — a slot hit can never alias.
     if (tableMemo_.empty())
         tableMemo_.resize(kTableMemoSlots);
-    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+    // One multiply per word keeps the general lane's per-pixel
+    // lookup cheap; the final mix spreads the high bits into the slot.
+    std::uint64_t h = 0;
     for (std::uint64_t w : key_)
-        h = mix64(h ^ w);
-    TableMemoEntry &e = tableMemo_[h & (kTableMemoSlots - 1)];
+        h = (h ^ w) * 0x9e3779b97f4a7c15ULL;
+    TableMemoEntry &e = tableMemo_[mix64(h) & (kTableMemoSlots - 1)];
     if (!e.table || e.key != key_) {
         e.table = RaceTableCache::global().get(key_);
         e.key = key_;
@@ -493,22 +472,9 @@ RaceFastPath::packedLookup(std::uint64_t word, std::size_t s)
         if (alphabet_[c] > 0.0)
             r_tot += cnt * alphabet_[c];
     }
-    // The gates are pure functions of r_tot (tMax_/drop_ are fixed),
-    // and distinct count words collapse onto far fewer r_tot values,
-    // so a direct-mapped memo on the exact sum bits replaces both
-    // sexp() calls on most refills.
-    if (expMemo_.empty())
-        expMemo_.resize(kExpMemoSlots);
-    const std::uint64_t rbits = std::bit_cast<std::uint64_t>(r_tot);
-    ExpMemoEntry &xe = expMemo_[mix64(rbits) & (kExpMemoSlots - 1)];
-    if (xe.key != rbits) {
-        xe.qAll = simd::sexp(-r_tot);
-        xe.gate = drop_ ? 1.0 - simd::sexp(-r_tot * tMax_)
+    victim.qAll = simd::sexp(-r_tot);
+    victim.gate = drop_ ? 1.0 - simd::sexp(-r_tot * tMax_)
                         : 1.0 - simd::sexp(-r_tot * (tMax_ - 1.0));
-        xe.key = rbits;
-    }
-    victim.qAll = xe.qAll;
-    victim.gate = xe.gate;
     if (!ordered_) {
         key_.clear();
         key_.push_back(modeWord_);
@@ -567,49 +533,11 @@ RaceOutcome
 RaceFastPath::racePacked(const double *q, double base, std::size_t m,
                          const double *u)
 {
+    if (packedMemo_.empty())
+        packedMemo_.resize(kPackedSlots);
     std::uint64_t word, cw0, cw1;
     packWords(q, base, m, word, cw0, cw1);
     return drawPacked(word, cw0, cw1, m, u, packedSlot(word));
-}
-
-void
-RaceFastPath::raceBinnedRow(const double *q, const double *bases,
-                            std::size_t n, std::size_t m,
-                            const double *u, RaceOutcome *out)
-{
-    RETSIM_ASSERT(!classOf_.empty(),
-                  "raceBinnedRow before bindRateTable");
-    const unsigned draws = drawsPerPixel_;
-    if (!(packedOk_ && m <= 16)) {
-        for (std::size_t p = 0; p < n; ++p)
-            out[p] = raceGeneral(q + p * m, bases ? bases[p] : 0.0,
-                                 m, u + p * draws);
-        return;
-    }
-    rowWords_.resize(3 * n);
-    rowSlot_.resize(n);
-    for (std::size_t p = 0; p < n; ++p) {
-        packWords(q + p * m, bases ? bases[p] : 0.0, m,
-                  rowWords_[3 * p], rowWords_[3 * p + 1],
-                  rowWords_[3 * p + 2]);
-        const std::size_t slot = packedSlot(rowWords_[3 * p]);
-        rowSlot_[p] = static_cast<std::uint32_t>(slot);
-#if defined(__GNUC__) || defined(__clang__)
-        // Pull the pixel's memo pair (first entry fully, second's
-        // header) into cache while later pixels classify; by the
-        // draw pass the probe is an L1 hit instead of a serialized
-        // L2/L3 round-trip per pixel.
-        const char *pair = reinterpret_cast<const char *>(
-            &packedMemo_[slot]);
-        __builtin_prefetch(pair);
-        __builtin_prefetch(pair + 64);
-        __builtin_prefetch(pair + 128);
-#endif
-    }
-    for (std::size_t p = 0; p < n; ++p)
-        out[p] = drawPacked(rowWords_[3 * p], rowWords_[3 * p + 1],
-                            rowWords_[3 * p + 2], m, u + p * draws,
-                            rowSlot_[p]);
 }
 
 void
@@ -633,6 +561,8 @@ RaceFastPath::raceEnergiesRow(const float *energies, double top,
         }
         return;
     }
+    if (packedMemo_.empty())
+        packedMemo_.resize(kPackedSlots);
     rowWords_.resize(3 * n);
     rowSlot_.resize(n);
     kern.quantizeClassifyRow(energies, top, subtract_min,
@@ -642,7 +572,10 @@ RaceFastPath::raceEnergiesRow(const float *energies, double top,
         const std::size_t slot = packedSlot(rowWords_[3 * p]);
         rowSlot_[p] = static_cast<std::uint32_t>(slot);
 #if defined(__GNUC__) || defined(__clang__)
-        // Same memo warm-up as raceBinnedRow's classify pass.
+        // Pull the pixel's memo pair (first entry fully, second's
+        // header) into cache while later pixels hash; by the draw
+        // pass the probe is an L1 hit instead of a serialized L2/L3
+        // round-trip per pixel.
         const char *pair = reinterpret_cast<const char *>(
             &packedMemo_[slot]);
         __builtin_prefetch(pair);

@@ -157,10 +157,11 @@ class RaceTableCache
 /**
  * Per-sampler fast-path state: the quantized-energy -> rate-class
  * mapping for the currently bound rate table, per-class tie
- * probabilities, a direct-mapped count-vector memo in front of the
- * global cache (no mutex, no canonical-key build on the per-pixel
- * hot path), and the per-pixel draw routines.  One instance per
- * RsuSampler; stripe clones each own theirs.
+ * probabilities, two memos (the packed lane's count-word memo and a
+ * canonical-key table memo in front of the global cache, shared by
+ * both lanes) and the per-pixel draw routines.  One instance per
+ * RsuSampler; stripe clones each own theirs.  The memos only skip
+ * recomputation: no memo state ever changes an outcome.
  */
 class RaceFastPath
 {
@@ -196,9 +197,9 @@ class RaceFastPath
      * Bind the quantized-energy -> absolute-rate table the indices
      * passed to raceBinned() resolve through (RsuSampler's
      * rateTable_).  Rebuilds the rate alphabet, class map and tie
-     * probabilities and resets the memo; cheap enough to call on
-     * every temperature change (global cache entries survive — their
-     * keys are canonical rate multisets).
+     * probabilities; a grown alphabet also empties the packed memo.
+     * Cheap enough to call on every temperature change (global cache
+     * entries survive — their keys are canonical rate multisets).
      */
     void bindRateTable(std::span<const double> rate_table);
 
@@ -213,21 +214,6 @@ class RaceFastPath
      */
     RaceOutcome raceBinned(const double *q, double base,
                            std::size_t m, const double *u);
-
-    /**
-     * Row entry: races @p n pixels of @p m quantized energies each
-     * (pixel p at @p q + p*m, its base at @p bases[p], or 0 when
-     * @p bases is null), consuming drawsPerPixel() uniforms per
-     * pixel from @p u.  Result-identical to n raceBinned() calls on
-     * the same inputs — the speedup is structural: a classify pass
-     * computes every pixel's count/class words first (prefetching
-     * the memo entries), then a draw pass runs with the entries
-     * already in cache, so one pixel's memo-probe latency overlaps
-     * the next pixel's integer work instead of serializing with it.
-     */
-    void raceBinnedRow(const double *q, const double *bases,
-                       std::size_t n, std::size_t m, const double *u,
-                       RaceOutcome *out);
 
     /**
      * Fused row entry straight from the float energy plane: for each
@@ -263,13 +249,15 @@ class RaceFastPath
      * one register add per label, no stores), which is simultaneously
      * the memo key, while the label -> class bytes accumulate into
      * two more words so the winner scans are branch-free SWAR
-     * byte-compares.  A 2-way memo entry carries everything
-     * transcendental the draw needs — the fired / window-end uniform
-     * gate and e^{-R} — plus the class table's slot map and raw alias
-     * arrays, so the steady-state pixel does no log/exp, no heap key,
-     * no mutex, and no pointer-chasing through vector headers.
-     * Entries depend only on the count multiset over a stable
-     * alphabet, so they survive temperature rebinds.
+     * byte-compares.  A 2-way memo entry (kPackedSlots of them, 512
+     * KiB, allocated by the first packed-lane race) carries
+     * everything transcendental the draw needs — the fired /
+     * window-end uniform gate and e^{-R} — plus the class table's
+     * slot map and raw alias arrays, so the steady-state pixel does
+     * no log/exp, no heap key, no mutex, and no pointer-chasing
+     * through vector headers.  Entries depend only on the count
+     * multiset over a stable alphabet, so they survive temperature
+     * rebinds; a fill recomputes the gates with two sexp() calls.
      */
     RaceOutcome racePacked(const double *q, double base,
                            std::size_t m, const double *u);
@@ -288,8 +276,8 @@ class RaceFastPath
      *  counts key and a per-pixel log for the window gates. */
     RaceOutcome raceGeneral(const double *q, double base,
                             std::size_t m, const double *u);
-    /** Memoized fetch of the Random-tie class table for the current
-     *  pixel's counts_ (alphabet-indexed label counts). */
+    /** Fetch of the Random-tie class table for the current pixel's
+     *  counts_ (alphabet-indexed label counts), through tableMemo_. */
     const RaceTable *lookupClassTable();
 
     RsuConfig cfg_;
@@ -332,7 +320,9 @@ class RaceFastPath
         std::uint8_t alias[16] = {};
         float aliasProb[16] = {};
     };
-    static constexpr std::size_t kPackedSlots = 65536;
+    static constexpr std::size_t kPackedSlots = 4096;
+    /** Empty until a packed-lane race needs it; bindRateTable
+     *  empties it again when the alphabet grows. */
     std::vector<PackedEntry> packedMemo_;
     PackedEntry &packedLookup(std::uint64_t word, std::size_t slot);
     /** Memo pair index of a count word (always even; the pair is
@@ -345,35 +335,14 @@ class RaceFastPath
     // raceEnergiesRow fallback scratch: one pixel's quantized plane.
     std::vector<double> quantScratch_;
 
-    // ---- general-lane scratch and memo -------------------------------
+    // ---- general-lane scratch and the table memo ---------------------
     std::vector<std::uint32_t> counts_;  ///< per-class label counts
     std::vector<std::uint16_t> pixelClass_;
     RaceTableCache::Key key_;
-    struct MemoEntry
-    {
-        std::vector<std::uint32_t> counts;
-        std::shared_ptr<const RaceTable> table;
-    };
-    static constexpr std::size_t kMemoSlots = 4096;
-    std::vector<MemoEntry> memo_;
-
-    // ---- packed-fill accelerators ------------------------------------
-    // High temperatures make the count word nearly unique per pixel,
-    // so the packed memo refills constantly; these two memos cut the
-    // refill cost itself.  Neither needs invalidation: the exp memo
-    // is keyed by the exact r_tot bits (tMax_/drop_ are fixed per
-    // instance) and the table memo compares the full canonical key.
-    /** r_tot bit pattern -> the two transcendental gates. */
-    struct ExpMemoEntry
-    {
-        std::uint64_t key = ~std::uint64_t{0}; ///< never a finite sum
-        double qAll = 1.0;
-        double gate = 0.0;
-    };
-    static constexpr std::size_t kExpMemoSlots = 16384;
-    std::vector<ExpMemoEntry> expMemo_;
     /** Canonical table key -> shared table, bypassing the global
-     *  cache's mutex + ordered map on the hot refill path. */
+     *  cache's mutex + ordered map on packed-memo fills and general-
+     *  lane Random draws.  The full key is compared and holds rates,
+     *  not class indices, so entries survive every rebind. */
     struct TableMemoEntry
     {
         RaceTableCache::Key key; ///< empty = unused slot

@@ -30,7 +30,6 @@
 #ifndef RETSIM_SIMD_VEC_HH
 #define RETSIM_SIMD_VEC_HH
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -44,6 +43,18 @@
 
 namespace retsim {
 namespace simd {
+// Internal linkage, for the reason given in vecmath.hh: each backend
+// TU keeps its own copy of every backend helper it uses.
+namespace {
+
+/** std::bit_cast with internal linkage: unoptimized builds emit
+ *  std::bit_cast's instantiations out of line as shared symbols. */
+template <typename To, typename From>
+constexpr To
+bitCast(const From &x)
+{
+    return __builtin_bit_cast(To, x);
+}
 
 /**
  * Scalar backend: one lane, plain C++ arithmetic.  This is both the
@@ -75,8 +86,8 @@ struct VScalar
     static vd roundNearest(vd a) { return std::nearbyint(a); }
     static vd floor(vd a) { return std::floor(a); }
 
-    static vi toBits(vd a) { return std::bit_cast<std::uint64_t>(a); }
-    static vd fromBits(vi a) { return std::bit_cast<double>(a); }
+    static vi toBits(vd a) { return bitCast<std::uint64_t>(a); }
+    static vd fromBits(vi a) { return bitCast<double>(a); }
     static vi set1i(std::uint64_t v) { return v; }
     static vi addi(vi a, vi b) { return a + b; }
     static vi subi(vi a, vi b) { return a - b; }
@@ -284,6 +295,7 @@ struct VNeon
 };
 #endif // RETSIM_SIMD_BACKEND_NEON
 
+} // namespace
 } // namespace simd
 } // namespace retsim
 

@@ -51,7 +51,6 @@
 #ifndef RETSIM_SIMD_VECMATH_HH
 #define RETSIM_SIMD_VECMATH_HH
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -62,6 +61,12 @@
 namespace retsim {
 namespace simd {
 namespace detail {
+// Internal linkage: each backend TU, compiled with its own ISA flags,
+// keeps a private copy of every function and instantiation below, so
+// the linker can never bind one backend's call to another backend's
+// machine code (checked by tests/simd_symbols.cmake in every build
+// type).
+namespace {
 
 // fdlibm e_log.c coefficients.
 inline constexpr double kLg1 = 6.666666666666735130e-01;
@@ -247,7 +252,7 @@ logTable()
     static const LogTable table = [] {
         LogTable t{};
         for (int i = 0; i < kLogTableSize; ++i) {
-            const double c = std::bit_cast<double>(
+            const double c = bitCast<double>(
                 kLogOff +
                 (static_cast<std::uint64_t>(i)
                  << (52 - kLogTableBits)) +
@@ -1096,6 +1101,7 @@ quantizeClassify16Avx2(const float *e, double top, bool subtract_min,
 
 #endif // RETSIM_SIMD_BACKEND_AVX2
 
+} // namespace
 } // namespace detail
 } // namespace simd
 } // namespace retsim

@@ -9,7 +9,8 @@
  * >= 1e6 draws under a 0.1% chi-square.  Around that: the degenerate
  * inputs the table builder must survive (cut-off labels, a single
  * firing label, all-zero rows, one-bin windows), cross-temperature
- * cache-key sharing, scalar-vs-row bit-exactness of the fast-path
+ * cache-key sharing, memo-state independence (evictions, alphabet
+ * growth, visit order), scalar-vs-row bit-exactness of the fast-path
  * samplers, and the RaceMode::Auto selection rules.
  */
 
@@ -18,6 +19,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <unordered_set>
 #include <vector>
 
 #include "core/race_fastpath.hh"
@@ -354,6 +356,118 @@ TEST(RaceTableCache, BuildFromKeyRoundTripsThroughGet)
                 1e-12);
     EXPECT_EQ(cache.get(key).get(), cached.get()); // second get hits
     EXPECT_EQ(cache.hits(), 1u);
+}
+
+// ------------------------------------------------ memo-state independence
+
+/**
+ * @p n pixels of @p m label energies, each an exact index into a
+ * 7-entry rate table.  Even pixels spread their labels over all seven
+ * classes, so the row holds far more distinct class-count vectors
+ * than either memo has slots and entries get evicted.  Odd pixels use
+ * two adjacent classes: few distinct vectors, and renumbering the
+ * classes maps one such pixel's count word onto another's, so a memo
+ * that survived the renumbering would serve stale entries.
+ */
+std::vector<float>
+memoStressEnergies(std::size_t n, std::size_t m, std::uint64_t seed)
+{
+    rng::Xoshiro256 gen(seed);
+    std::vector<float> e(n * m);
+    for (std::size_t p = 0; p < n; ++p) {
+        const std::uint64_t lo = p % 2 ? gen.nextBounded(6) : 0;
+        const std::uint64_t span = p % 2 ? 2 : 7;
+        for (std::size_t i = 0; i < m; ++i)
+            e[p * m + i] =
+                static_cast<float>(lo + gen.nextBounded(span));
+    }
+    return e;
+}
+
+/** Distinct class-count vectors among the row's pixels. */
+std::size_t
+distinctCountVectors(const std::vector<float> &e, std::size_t m)
+{
+    std::unordered_set<std::uint64_t> seen;
+    for (std::size_t p = 0; p < e.size() / m; ++p) {
+        std::uint64_t word = 0;
+        for (std::size_t i = 0; i < m; ++i)
+            word += 1ULL << (8 * static_cast<unsigned>(e[p * m + i]));
+        seen.insert(word);
+    }
+    return seen.size();
+}
+
+/**
+ * The memos only skip recomputation, so no memo state may change an
+ * outcome.  One instance races the row, has its alphabet grown (a new
+ * rate below the others renumbers the classes) and rebound, then
+ * races the row again with the same uniforms; a fresh instance races
+ * it pixel by pixel in reverse order.  All three must agree.
+ */
+void
+expectMemoStateNeverChangesOutcome(TieBreak tie, std::size_t n,
+                                   std::size_t m, std::uint64_t seed)
+{
+    const RsuConfig cfg = binnedCfg(tie, 3);
+    const std::vector<double> table = {0.0, 0.02, 0.05, 0.1,
+                                       0.2, 0.4,  0.8};
+    std::vector<double> grown = table;
+    grown.push_back(0.01);
+    const double top = static_cast<double>(table.size() - 1);
+    const std::vector<float> energies = memoStressEnergies(n, m, seed);
+    ASSERT_GT(distinctCountVectors(energies, m), 4096u);
+
+    RaceFastPath warm(cfg);
+    const unsigned draws = warm.drawsPerPixel();
+    std::vector<double> u(n * draws);
+    rng::Xoshiro256 ugen(seed + 1);
+    for (double &x : u)
+        x = ugen.nextDouble();
+    std::vector<RaceOutcome> first(n), second(n);
+    warm.bindRateTable(table);
+    warm.raceEnergiesRow(energies.data(), top, false, n, m, u.data(),
+                         first.data());
+    warm.bindRateTable(grown);
+    warm.bindRateTable(table);
+    warm.raceEnergiesRow(energies.data(), top, false, n, m, u.data(),
+                         second.data());
+
+    RaceFastPath cold(cfg);
+    cold.bindRateTable(table);
+    std::vector<double> q(m);
+    std::size_t mismatches = 0, ties = 0;
+    for (std::size_t p = n; p-- > 0;) {
+        for (std::size_t i = 0; i < m; ++i)
+            q[i] = energies[p * m + i];
+        const RaceOutcome oc =
+            cold.raceBinned(q.data(), 0.0, m, u.data() + p * draws);
+        const bool same = first[p].winner == second[p].winner &&
+                          first[p].tie == second[p].tie &&
+                          first[p].winner == oc.winner &&
+                          first[p].tie == oc.tie;
+        if (!same && mismatches++ == 0)
+            ADD_FAILURE() << toString(tie) << " pixel " << p
+                          << ": winners " << first[p].winner << "/"
+                          << second[p].winner << "/" << oc.winner;
+        ties += oc.tie;
+    }
+    EXPECT_EQ(mismatches, 0u) << toString(tie);
+    EXPECT_GT(ties, 0u) << toString(tie);
+}
+
+TEST(RaceFastPathMemo, PackedLaneOutcomesIgnoreMemoState)
+{
+    for (TieBreak tie :
+         {TieBreak::Random, TieBreak::First, TieBreak::Last})
+        expectMemoStateNeverChangesOutcome(tie, 20000, 16, 43);
+}
+
+TEST(RaceFastPathMemo, GeneralLaneOutcomesIgnoreTableMemoState)
+{
+    // 24 labels take the general lane, whose Random draws share the
+    // canonical-key table memo with packed-lane fills.
+    expectMemoStateNeverChangesOutcome(TieBreak::Random, 10000, 24, 47);
 }
 
 // ----------------------------------------- sampler-level bit-exactness
