@@ -20,6 +20,7 @@ main(int argc, char **argv)
     util::CliArgs args(argc, argv);
     const int sweeps = args.getIntIn("sweeps", 150, 1);
     const std::uint64_t seed = args.getIntIn<std::uint64_t>("seed", 42, 0);
+    args.rejectUnread();
 
     printHeader("Ablation — removing each new-design technique",
                 "Sec. IV-A: scaling and cut-off are load-bearing; "

@@ -24,6 +24,7 @@ main(int argc, char **argv)
     const int sweeps = args.getIntIn("sweeps", 200, 1);
     const int bp_iters = args.getIntIn("bp-iters", 30, 1);
     const std::uint64_t seed = args.getIntIn<std::uint64_t>("seed", 42, 0);
+    args.rejectUnread();
 
     printHeader("Solver families on stereo (BP%)",
                 "Sec. III-B: annealed MCMC reaches the quality class "

@@ -12,6 +12,7 @@
 #ifndef RETSIM_BENCH_BENCH_COMMON_HH
 #define RETSIM_BENCH_BENCH_COMMON_HH
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <iostream>
@@ -48,6 +49,15 @@ inline SamplerFactory
 rsuFactory(const core::RsuConfig &cfg)
 {
     return [cfg] { return std::make_unique<core::RsuSampler>(cfg); };
+}
+
+/** Median of the per-repeat timings. */
+inline double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
 /** Per-scene BP results for one sampler over the stereo suite. */

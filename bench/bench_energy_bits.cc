@@ -20,6 +20,7 @@ main(int argc, char **argv)
     util::CliArgs args(argc, argv);
     const int sweeps = args.getIntIn("sweeps", 150, 1);
     const std::uint64_t seed = args.getIntIn<std::uint64_t>("seed", 42, 0);
+    args.rejectUnread();
 
     printHeader("Energy_bits sweep — stereo BP with float lambda/time",
                 "Sec. III-C.1: 8 bits suffice; below 8 degrades");

@@ -19,6 +19,7 @@ main(int argc, char **argv)
     util::CliArgs args(argc, argv);
     const int sweeps = args.getIntIn("sweeps", 200, 1);
     const std::uint64_t seed = args.getIntIn<std::uint64_t>("seed", 42, 0);
+    args.rejectUnread();
 
     printHeader("Figure 3 — Software-only vs. previous RSU-G "
                 "result quality (stereo BP %)",

@@ -48,6 +48,7 @@ main(int argc, char **argv)
     util::CliArgs args(argc, argv);
     const int sweeps = args.getIntIn("sweeps", 150, 1);
     const std::uint64_t seed = args.getIntIn<std::uint64_t>("seed", 42, 0);
+    args.rejectUnread();
 
     printHeader("Figure 5a — average stereo BP vs Lambda_bits",
                 "Fig. 5a (Sec. III-C.2): scaling + cut-off recover "

@@ -66,6 +66,7 @@ main(int argc, char **argv)
     const int races = args.getIntIn("races", 1000000, 1);
     const unsigned time_bits = args.getIntIn<unsigned>("time-bits", 5, 0);
     const std::uint64_t seed = args.getIntIn<std::uint64_t>("seed", 42, 0);
+    args.rejectUnread();
 
     printHeader(
         "Figure 7 — relative error of achieved vs intended lambda "

@@ -20,6 +20,7 @@ main(int argc, char **argv)
     util::CliArgs args(argc, argv);
     const int sweeps = args.getIntIn("sweeps", 150, 1);
     const std::uint64_t seed = args.getIntIn<std::uint64_t>("seed", 42, 0);
+    args.rejectUnread();
 
     printHeader("Figure 8 — BP over Time_bits x Truncation (poster)",
                 "Fig. 8 (Sec. III-C.3): iso-quality diagonal; chosen "

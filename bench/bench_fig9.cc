@@ -20,6 +20,7 @@ main(int argc, char **argv)
     const int seg_sweeps = args.getIntIn("seg-sweeps", 30, 1);
     const int seg_images = args.getIntIn("seg-images", 30, 1);
     const std::uint64_t seed = args.getIntIn<std::uint64_t>("seed", 42, 0);
+    args.rejectUnread();
 
     auto rsu = rsuFactory(core::RsuConfig::newDesign());
     auto sw = softwareFactory();

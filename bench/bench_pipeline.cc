@@ -43,6 +43,7 @@ main(int argc, char **argv)
 {
     util::CliArgs args(argc, argv);
     const int pixels = args.getIntIn("pixels", 2000, 1);
+    args.rejectUnread();
 
     printHeader("RSU-G pipeline characterization",
                 "Sec. II-C (1 label/cycle, latency 7+(M-1)) and "

@@ -41,15 +41,6 @@ namespace {
 
 using namespace retsim;
 
-/** Median of the per-repeat timings. */
-double
-median(std::vector<double> v)
-{
-    std::sort(v.begin(), v.end());
-    const std::size_t n = v.size();
-    return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
-
 /** Pixel-major conditional-energy planes for whole color-phase rows,
  *  gathered once so timing excludes the energy stage. */
 struct PlaneSet
@@ -202,9 +193,9 @@ timeKernel(const bench::SamplerFactory &factory,
     }
 
     result.scalarNsPerSample =
-        median(scalar_s) * 1e9 / static_cast<double>(samples);
+        bench::median(scalar_s) * 1e9 / static_cast<double>(samples);
     result.batchedNsPerSample =
-        median(batched_s) * 1e9 / static_cast<double>(samples);
+        bench::median(batched_s) * 1e9 / static_cast<double>(samples);
     result.outputsMatch = scalar_labels == batched_labels;
     if (reference) {
         auto sampler = reference();
@@ -301,7 +292,7 @@ timeFastPath(const bench::SamplerFactory &factory, const PlaneSet &set,
         fast_s.push_back(dt.count());
     }
     result.fastNsPerSample =
-        median(fast_s) * 1e9 / static_cast<double>(samples);
+        bench::median(fast_s) * 1e9 / static_cast<double>(samples);
 
     // Fixed draws per pixel keep the fast path's scalar and batched
     // entries on one RNG layout, so their labels must agree exactly.
@@ -347,7 +338,7 @@ timeBreakdown(const mrf::MrfProblem &problem, const PlaneSet &set,
                 std::chrono::steady_clock::now() - start;
             seconds.push_back(dt.count());
         }
-        return median(seconds) * 1e9 / static_cast<double>(units);
+        return bench::median(seconds) * 1e9 / static_cast<double>(units);
     };
 
     // The RSU's energy-to-rate table at this temperature (what the
@@ -473,6 +464,7 @@ main(int argc, char **argv)
     const std::uint64_t seed = args.getIntIn<std::uint64_t>("seed", 1, 0);
     const std::string out =
         args.getString("out", "BENCH_sampler_kernel.json");
+    args.rejectUnread();
     const int hw = static_cast<int>(
         std::max(1u, std::thread::hardware_concurrency()));
     const char *backend =

@@ -17,13 +17,13 @@
  * label count so the device pipeline's scaling is tracked alongside
  * the software baseline.
  *
- * With --shards=N the sharded solver is also timed per workload at 1
- * and 2 intra-rank threads, and every run row records threads and
- * the halo_wait_ns counter delta, so the JSON shows how long the
- * ranks sat blocked on ghost rows.
+ * Single solves on a shared machine vary by up to 5x, so every cell
+ * is timed kRepeats times, each with a fresh sampler, and reports the
+ * median and the median absolute deviation (MAD) of those runs.
  */
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <set>
 #include <thread>
@@ -35,49 +35,32 @@
 #include "core/sampler_rsu.hh"
 #include "img/synthetic.hh"
 #include "mrf/checkerboard.hh"
-#include "obs/metrics.hh"
-#include "shard/shard_cli.hh"
 #include "simd/kernels.hh"
 
 namespace {
 
 using namespace retsim;
 
+/** Timed solves per cell; the cell reports their median and MAD. */
+constexpr int kRepeats = 5;
+
 struct RunResult
 {
     int threads = 0;
     int stripes = 0;
-    int shards = 1;                 ///< 1 = single-process solver
-    double seconds = 0.0;
+    double seconds = 0.0;    ///< median over kRepeats solves
+    double madSeconds = 0.0; ///< median absolute deviation
     double pixelsPerSec = 0.0;
-    std::uint64_t haloWaitNs = 0;   ///< time blocked on ghost rows
 };
-
-/** Cumulative time the shard layer spent blocked on inbound ghost
- *  rows (shard.halo.wait_ns), read back from the global metric
- *  registry the solvers fold their per-run counters into. */
-std::uint64_t
-haloWaitNow()
-{
-    obs::Registry &reg = obs::Registry::global();
-    static const obs::MetricId id =
-        reg.counter("shard.halo.wait_ns");
-    return reg.counterValue(id);
-}
 
 double
 timeSolve(const mrf::MrfProblem &problem,
           const bench::SamplerFactory &factory,
-          const mrf::SolverConfig &cfg,
-          const shard::ShardOptions &shards)
+          const mrf::SolverConfig &cfg)
 {
     auto sampler = factory();
     auto start = std::chrono::steady_clock::now();
-    if (shards.shards > 1)
-        shard::ShardedCheckerboardSolver(cfg, shards)
-            .run(problem, *sampler);
-    else
-        mrf::CheckerboardGibbsSolver(cfg).run(problem, *sampler);
+    mrf::CheckerboardGibbsSolver(cfg).run(problem, *sampler);
     std::chrono::duration<double> dt =
         std::chrono::steady_clock::now() - start;
     return dt.count();
@@ -86,39 +69,24 @@ timeSolve(const mrf::MrfProblem &problem,
 RunResult
 measure(const mrf::MrfProblem &problem,
         const bench::SamplerFactory &factory, mrf::SolverConfig cfg,
-        int threads, int stripes,
-        const shard::ShardOptions &shards = {})
+        int threads, int stripes)
 {
     cfg.threads = threads;
     cfg.stripes = stripes;
+    std::vector<double> times;
+    for (int i = 0; i < kRepeats; ++i)
+        times.push_back(timeSolve(problem, factory, cfg));
     RunResult r;
     r.threads = threads;
     r.stripes = stripes;
-    r.shards = shards.shards;
-    const std::uint64_t waitBefore = haloWaitNow();
-    r.seconds = timeSolve(problem, factory, cfg, shards);
-    r.haloWaitNs = haloWaitNow() - waitBefore;
+    r.seconds = bench::median(times);
+    for (double &t : times)
+        t = std::fabs(t - r.seconds);
+    r.madSeconds = bench::median(times);
     double pixels = static_cast<double>(problem.width()) *
                     problem.height() * cfg.annealing.sweeps;
     r.pixelsPerSec = pixels / r.seconds;
     return r;
-}
-
-void
-printRun(const RunResult &r, double serial_s)
-{
-    if (r.shards > 1)
-        std::printf("  shards=%2d stripes=%2d threads=%d  %8.3f s  "
-                    "%12.0f px/s  halo-wait %6.2f ms  %.2fx\n",
-                    r.shards, r.stripes, r.threads, r.seconds,
-                    r.pixelsPerSec,
-                    static_cast<double>(r.haloWaitNs) / 1e6,
-                    serial_s / r.seconds);
-    else
-        std::printf("  threads=%2d stripes=%2d  %8.3f s  %12.0f px/s  "
-                    "%.2fx\n",
-                    r.threads, r.stripes, r.seconds, r.pixelsPerSec,
-                    serial_s / r.seconds);
 }
 
 } // namespace
@@ -135,10 +103,7 @@ main(int argc, char **argv)
         args.getString("out", "BENCH_solver_scaling.json");
     const std::string sampler_arg = args.getString("sampler", "");
     const std::string race_arg = args.getString("race-mode", "auto");
-    // --shards=N appends multi-shard runs per workload so sharded
-    // throughput lands in the same perf trajectory file.
-    const shard::ShardOptions shard_options =
-        shard::shardOptionsFromCli(args);
+    args.rejectUnread();
     const int hw = static_cast<int>(
         std::max(1u, std::thread::hardware_concurrency()));
     const char *backend =
@@ -177,8 +142,8 @@ main(int argc, char **argv)
         "threading",
         "software substrate of the concurrent RSU-G array (Sec. II-C)");
     std::printf("grid %dx%d, %d sweeps, %d hardware threads, simd "
-                "backend %s\n",
-                size, size, sweeps, hw, backend);
+                "backend %s, median (MAD) of %d runs per cell\n",
+                size, size, sweeps, hw, backend, kRepeats);
 
     // Thread counts 1/2/4/N, deduplicated and capped at the machine.
     std::set<int> thread_set{1, 2, 4, hw};
@@ -254,9 +219,10 @@ main(int argc, char **argv)
                  "  \"simd_backend\": \"%s\",\n"
                  "  \"grid\": [%d, %d],\n  \"sweeps\": %d,\n"
                  "  \"seed\": %llu,\n  \"hardware_threads\": %d,\n"
+                 "  \"repeats\": %d,\n"
                  "  \"workloads\": [",
                  backend, size, size, sweeps,
-                 static_cast<unsigned long long>(seed), hw);
+                 static_cast<unsigned long long>(seed), hw, kRepeats);
 
     bool first_workload = true;
     for (const Workload &w : workloads) {
@@ -267,21 +233,21 @@ main(int argc, char **argv)
         // Serial reference: the historical single-stream path.
         RunResult serial =
             measure(*w.problem, w.factory, w.cfg, 1, 0);
-        std::printf("  serial (reference)   %8.3f s  %12.0f px/s\n",
-                    serial.seconds, serial.pixelsPerSec);
+        std::printf("  serial (reference)   %8.3f s (MAD %.3f)  %12.0f "
+                    "px/s\n",
+                    serial.seconds, serial.madSeconds,
+                    serial.pixelsPerSec);
 
         std::vector<RunResult> runs;
-        for (int t : thread_set)
+        for (int t : thread_set) {
             runs.push_back(
                 measure(*w.problem, w.factory, w.cfg, t, stripes));
-        // Sharded at 1 and 2 threads per rank: same results byte
-        // for byte, so the delta is pure intra-rank scaling.
-        if (shard_options.shards > 1)
-            for (int t : {1, 2})
-                runs.push_back(measure(*w.problem, w.factory, w.cfg, t,
-                                       stripes, shard_options));
-        for (const RunResult &r : runs)
-            printRun(r, serial.seconds);
+            const RunResult &r = runs.back();
+            std::printf("  threads=%2d stripes=%2d  %8.3f s (MAD %.3f)  "
+                        "%12.0f px/s  %.2fx\n",
+                        r.threads, r.stripes, r.seconds, r.madSeconds,
+                        r.pixelsPerSec, serial.seconds / r.seconds);
+        }
 
         std::fprintf(
             f,
@@ -290,22 +256,22 @@ main(int argc, char **argv)
             "      \"sampler\": \"%s\",\n"
             "      \"race_mode\": \"%s\",\n"
             "      \"serial\": {\"seconds\": %.6f, "
-            "\"pixels_per_s\": %.1f},\n      \"runs\": [",
+            "\"mad_seconds\": %.6f, \"pixels_per_s\": %.1f},\n"
+            "      \"runs\": [",
             first_workload ? "" : ",", w.name,
             w.problem->numLabels(), w.sampler, w.raceMode,
-            serial.seconds, serial.pixelsPerSec);
+            serial.seconds, serial.madSeconds, serial.pixelsPerSec);
         first_workload = false;
         for (std::size_t i = 0; i < runs.size(); ++i) {
             const RunResult &r = runs[i];
             std::fprintf(
                 f,
                 "%s\n        {\"threads\": %d, \"stripes\": %d, "
-                "\"shards\": %d, \"halo_wait_ns\": %llu, "
-                "\"seconds\": %.6f, \"pixels_per_s\": %.1f, "
+                "\"seconds\": %.6f, \"mad_seconds\": %.6f, "
+                "\"pixels_per_s\": %.1f, "
                 "\"speedup_vs_serial\": %.3f}",
-                i == 0 ? "" : ",", r.threads, r.stripes, r.shards,
-                static_cast<unsigned long long>(r.haloWaitNs),
-                r.seconds, r.pixelsPerSec,
+                i == 0 ? "" : ",", r.threads, r.stripes, r.seconds,
+                r.madSeconds, r.pixelsPerSec,
                 serial.seconds / r.seconds);
         }
         std::fprintf(f, "\n      ]\n    }");

@@ -18,6 +18,7 @@ main(int argc, char **argv)
     const int sweeps = args.getIntIn("sweeps", 30, 1);
     const int images = args.getIntIn("images", 30, 1);
     const std::uint64_t seed = args.getIntIn<std::uint64_t>("seed", 42, 0);
+    args.rejectUnread();
 
     printHeader("Table I — std-dev of VoI across 30 images",
                 "Tab. I (Sec. III-D.3): software and new RSU-G show "

@@ -20,8 +20,9 @@ using namespace retsim;
 using namespace retsim::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    util::CliArgs(argc, argv).rejectUnread();
     printHeader("Table II — stereo vision execution time (seconds)",
                 "Tab. II (Sec. IV-C): RSU-G augmented GPU, speedups "
                 "2.8-6.1x growing with labels and resolution");

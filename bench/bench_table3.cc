@@ -13,8 +13,9 @@ using namespace retsim;
 using namespace retsim::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    util::CliArgs(argc, argv).rejectUnread();
     printHeader("Table III — new RSU-G area and power",
                 "Tab. III (Sec. IV-C): RET 1120/0.08, CMOS 1128/3.49, "
                 "LUT 655/1.42, total 2903 um^2 / 4.99 mW");

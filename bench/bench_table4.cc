@@ -13,8 +13,9 @@ using namespace retsim;
 using namespace retsim::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    util::CliArgs(argc, argv).rejectUnread();
     printHeader("Table IV — area comparison with alternative designs",
                 "Tab. IV (Sec. IV-C): RSU-G provides a true RNG in "
                 "LFSR-class area");

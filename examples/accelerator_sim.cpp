@@ -37,6 +37,8 @@ main(int argc, char **argv)
     w.height = 1080;
     w.labels = args.getIntIn("labels", 64, 1);
     w.iterations = 100;
+    const int sys_sweeps = args.getIntIn("sys-sweeps", 80, 1);
+    args.rejectUnread();
 
     std::printf("Workload: %dx%d, %d labels, %d iterations, "
                 "%.0f GB/s\n\n",
@@ -90,7 +92,6 @@ main(int argc, char **argv)
     // Run the same problem through the cycle-level system simulator:
     // every pixel update flows through an RSU-G pipeline, so we get
     // the silicon's labeling AND its cycle count in one run.
-    int sys_sweeps = args.getIntIn("sys-sweeps", 80, 1);
     hw::SystemConfig sys_cfg;
     sys_cfg.units = 16;
     mrf::AnnealingSchedule sched;

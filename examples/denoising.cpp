@@ -6,9 +6,6 @@
  * over 32 intensity levels, and compare software vs new RSU-G PSNR.
  *
  *   ./denoising [--sigma=25] [--levels=32] [--sweeps=40] [--outdir=.]
- *
- * Sharded runs (shard/shard_cli.hh) take [--shards=N] [--threads=N];
- * every combination produces the byte-identical result.
  */
 
 #include <cstdio>
@@ -22,7 +19,6 @@
 #include "mrf/checkpoint_cli.hh"
 #include "obs/telemetry_cli.hh"
 #include "img/synthetic.hh"
-#include "shard/shard_cli.hh"
 #include "util/cli.hh"
 
 using namespace retsim;
@@ -77,10 +73,9 @@ main(int argc, char **argv)
 
     auto cfg_sw = solver;
     mrf::checkpointFromCli(args, &cfg_sw, "software");
-    shard::shardFromCli(args, &cfg_sw);
     auto cfg_rsu = solver;
     mrf::checkpointFromCli(args, &cfg_rsu, "new_rsug");
-    shard::shardFromCli(args, &cfg_rsu);
+    args.rejectUnread();
 
     auto r_sw = apps::runDenoising(clean, noisy, sw, cfg_sw, params);
     auto r_rsu =

@@ -56,6 +56,7 @@ main(int argc, char **argv)
 
     const int sweeps = args.getIntIn("sweeps", 150, 1);
     const std::string which = args.getString("scene", "poster");
+    args.rejectUnread();
 
     img::StereoSceneSpec spec = which == "teddy"
                                     ? img::stereoTeddySpec()

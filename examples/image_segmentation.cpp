@@ -7,9 +7,6 @@
  *
  *   ./image_segmentation [--segments=4] [--sweeps=30] [--seed=9001]
  *                        [--outdir=.]
- *
- * Sharded runs (shard/shard_cli.hh) take [--shards=N] [--threads=N];
- * every combination produces the byte-identical result.
  */
 
 #include <cstdio>
@@ -23,7 +20,6 @@
 #include "mrf/checkpoint_cli.hh"
 #include "obs/telemetry_cli.hh"
 #include "img/synthetic.hh"
-#include "shard/shard_cli.hh"
 #include "util/cli.hh"
 
 using namespace retsim;
@@ -54,10 +50,9 @@ main(int argc, char **argv)
 
     auto cfg_sw = solver;
     mrf::checkpointFromCli(args, &cfg_sw, "software");
-    shard::shardFromCli(args, &cfg_sw);
     auto cfg_rsu = solver;
     mrf::checkpointFromCli(args, &cfg_rsu, "new_rsug");
-    shard::shardFromCli(args, &cfg_rsu);
+    args.rejectUnread();
 
     auto r_sw = apps::runSegmentation(scene, sw, cfg_sw);
     auto r_rsu = apps::runSegmentation(scene, rsu, cfg_rsu);

@@ -7,9 +7,6 @@
  *
  *   ./motion_estimation [--scene=venus|rubberwhale|dimetrodon]
  *                       [--sweeps=150] [--outdir=.]
- *
- * Sharded runs (shard/shard_cli.hh) take [--shards=N] [--threads=N];
- * every combination produces the byte-identical result.
  */
 
 #include <cmath>
@@ -24,7 +21,6 @@
 #include "mrf/checkpoint_cli.hh"
 #include "obs/telemetry_cli.hh"
 #include "img/synthetic.hh"
-#include "shard/shard_cli.hh"
 #include "util/cli.hh"
 
 using namespace retsim;
@@ -81,10 +77,9 @@ main(int argc, char **argv)
 
     auto cfg_sw = solver;
     mrf::checkpointFromCli(args, &cfg_sw, "software");
-    shard::shardFromCli(args, &cfg_sw);
     auto cfg_rsu = solver;
     mrf::checkpointFromCli(args, &cfg_rsu, "new_rsug");
-    shard::shardFromCli(args, &cfg_rsu);
+    args.rejectUnread();
 
     auto r_sw = apps::runMotion(*scene, sw, cfg_sw);
     auto r_rsu = apps::runMotion(*scene, rsu, cfg_rsu);

@@ -29,6 +29,7 @@ main(int argc, char **argv)
     params.levels = args.getIntIn("levels", 2, 1);
     params.windowRadius = args.getIntIn("radius", 3, 0);
     const int sweeps = args.getIntIn("sweeps", 100, 1);
+    args.rejectUnread();
 
     img::MotionSceneSpec spec;
     spec.name = "large-motion";

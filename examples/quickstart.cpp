@@ -27,6 +27,7 @@ main(int argc, char **argv)
     util::CliArgs args(argc, argv);
     const double temperature = args.getDouble("temperature", 8.0);
     const int draws = args.getIntIn("draws", 100000, 1);
+    args.rejectUnread();
 
     // Conditional energies of a 4-label random variable (Eq. 1
     // output): lower energy = more probable.

@@ -8,10 +8,6 @@
  *   ./stereo_vision [--scene=teddy|poster|art] [--sweeps=200]
  *                   [--outdir=.]
  *
- * Sharded runs (shard/shard_cli.hh) take [--shards=N] plus the
- * schedule knob [--threads=N] (intra-rank stripe threads); every
- * combination produces the byte-identical result.
- *
  * Users with real data (e.g. Middlebury pairs converted to PGM) can
  * bypass the synthetic scenes:
  *
@@ -31,7 +27,6 @@
 #include "mrf/checkpoint_cli.hh"
 #include "obs/telemetry_cli.hh"
 #include "img/synthetic.hh"
-#include "shard/shard_cli.hh"
 #include "util/cli.hh"
 
 using namespace retsim;
@@ -75,11 +70,6 @@ main(int argc, char **argv)
     auto solver = apps::defaultStereoSolver(sweeps, 42);
     auto prefix = outdir + "/" + scene.name;
 
-    img::writePgm(scene.left, prefix + "_left.pgm");
-    img::writePgm(img::labelMapToGray(scene.gtDisparity,
-                                      scene.numLabels),
-                  prefix + "_gt.pgm");
-
     struct Variant
     {
         const char *name;
@@ -97,14 +87,20 @@ main(int argc, char **argv)
         {"software-only", "_software.pgm", "software"},
         {"previous RSU-G", "_prev_rsug.pgm", "prev_rsug"},
         {"new RSU-G", "_new_rsug.pgm", "new_rsug"}};
+    mrf::SolverConfig cfgs[] = {solver, solver, solver};
+    for (int i = 0; i < 3; ++i)
+        mrf::checkpointFromCli(args, &cfgs[i], variants[i].ckpt);
+    args.rejectUnread();
+
+    img::writePgm(scene.left, prefix + "_left.pgm");
+    img::writePgm(img::labelMapToGray(scene.gtDisparity,
+                                      scene.numLabels),
+                  prefix + "_gt.pgm");
 
     std::printf("\n%-16s %8s %8s\n", "sampler", "BP%", "RMS");
     std::printf("----------------------------------\n");
     for (int i = 0; i < 3; ++i) {
-        auto cfg = solver;
-        mrf::checkpointFromCli(args, &cfg, variants[i].ckpt);
-        shard::shardFromCli(args, &cfg);
-        auto result = apps::runStereo(scene, *samplers[i], cfg);
+        auto result = apps::runStereo(scene, *samplers[i], cfgs[i]);
         std::printf("%-16s %8.2f %8.3f\n", variants[i].name,
                     result.badPixelPercent, result.rmsError);
         img::writePgm(img::labelMapToGray(result.disparity,

@@ -20,12 +20,11 @@ namespace detail {
 namespace {
 
 std::vector<LabelSampler *>
-stripeSamplers(const std::vector<std::unique_ptr<LabelSampler>> &clones,
-               int k0, int k1)
+stripeSamplers(const std::vector<std::unique_ptr<LabelSampler>> &clones)
 {
     std::vector<LabelSampler *> out;
-    for (int k = k0; k < k1; ++k)
-        out.push_back(clones[static_cast<std::size_t>(k)].get());
+    for (const std::unique_ptr<LabelSampler> &c : clones)
+        out.push_back(c.get());
     return out;
 }
 
@@ -34,11 +33,9 @@ stripeSamplers(const std::vector<std::unique_ptr<LabelSampler>> &clones,
 StripeEngine::StripeEngine(
     const SolverConfig &config, const MrfProblem &problem,
     img::LabelMap &labels,
-    const std::vector<std::unique_ptr<LabelSampler>> &clones, int k0,
-    int k1)
-    : StripeEngine(config, problem, labels,
-                   stripeSamplers(clones, k0, k1),
-                   static_cast<int>(clones.size()), k0, nullptr)
+    const std::vector<std::unique_ptr<LabelSampler>> &clones)
+    : StripeEngine(config, problem, labels, stripeSamplers(clones),
+                   nullptr)
 {
 }
 
@@ -46,7 +43,7 @@ StripeEngine::StripeEngine(const SolverConfig &config,
                            const MrfProblem &problem,
                            img::LabelMap &labels, LabelSampler &sampler,
                            rng::Xoshiro256 &gen)
-    : StripeEngine(config, problem, labels, {&sampler}, 1, 0, &gen)
+    : StripeEngine(config, problem, labels, {&sampler}, &gen)
 {
 }
 
@@ -54,10 +51,9 @@ StripeEngine::StripeEngine(const SolverConfig &config,
                            const MrfProblem &problem,
                            img::LabelMap &labels,
                            std::vector<LabelSampler *> samplers,
-                           int stripes, int k0,
                            rng::Xoshiro256 *serialGen)
     : config_(config), problem_(problem), labels_(labels),
-      stripes_(stripes), k0_(k0), serialGen_(serialGen)
+      serialGen_(serialGen)
 {
     RETSIM_ASSERT(problem.neighborhood() == Neighborhood::Four,
                   "the two-color chromatic schedule is only valid on "
@@ -90,10 +86,11 @@ StripeEngine::runStripe(std::size_t i, int sweep, int color,
                         double temperature)
 {
     Executor &e = execs_[i];
-    const int k = k0_ + static_cast<int>(i);
+    const int k = static_cast<int>(i);
+    const int stripes = static_cast<int>(execs_.size());
     const int height = problem_.height();
-    const int y0 = stripeRowStart(k, height, stripes_);
-    const int y1 = stripeRowStart(k + 1, height, stripes_);
+    const int y0 = stripeRowStart(k, height, stripes);
+    const int y1 = stripeRowStart(k + 1, height, stripes);
     rng::Xoshiro256 stripeGen(
         stripeStreamSeed(config_.seed, sweep, color, k));
     rng::Rng &gen = serialGen_ ? *serialGen_ : stripeGen;
@@ -142,15 +139,6 @@ StripeEngine::foldMetrics()
         reg.fold(e.metrics);
 }
 
-SamplerStats
-StripeEngine::samplerStats() const
-{
-    SamplerStats s;
-    for (const Executor &e : execs_)
-        s += e.sampler->stats();
-    return s;
-}
-
 } // namespace detail
 
 int
@@ -176,9 +164,7 @@ CheckerboardGibbsSolver::run(const MrfProblem &problem,
         serial ? detail::StripeEngine(config_, problem, labels, sampler,
                                       frame.gen)
                : detail::StripeEngine(config_, problem, labels,
-                                      frame.clones, 0,
-                                      static_cast<int>(
-                                          frame.clones.size()));
+                                      frame.clones);
     SolverTrace *trace = frame.trace;
 
     for (int s = frame.startSweep; s < config_.annealing.sweeps; ++s) {
@@ -192,10 +178,9 @@ CheckerboardGibbsSolver::run(const MrfProblem &problem,
             trace->labelChanges += c.labelChanges;
         }
         frame.endSweep(s, temperature,
-                       trace ? problem.totalEnergy(labels) : 0.0,
-                       frame.samplerStats());
+                       trace ? problem.totalEnergy(labels) : 0.0);
         if (detail::shouldCheckpoint(config_, s + 1))
-            frame.emitCheckpoint(s + 1, frame.cloneStates());
+            frame.emitCheckpoint(s + 1);
     }
 
     frame.finish();

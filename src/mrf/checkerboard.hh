@@ -14,11 +14,10 @@
  * the number hw::PerfModel uses.
  *
  * The schedule runs on the chromatic phase engine
- * (checkerboard_detail.hh), the same code the sharded solver's ranks
- * run.  With SolverConfig::threads != 1 (or stripes > 0) each color
- * phase is partitioned into contiguous row stripes executed
- * concurrently on a thread pool.  Every stripe draws from its own RNG
- * stream derived from (seed, sweep, color, stripe) and samples
+ * (checkerboard_detail.hh).  With SolverConfig::threads != 1 (or
+ * stripes > 0) each color phase is partitioned into contiguous row
+ * stripes executed concurrently on a thread pool.  Every stripe draws
+ * from its own RNG stream derived from (seed, sweep, color, stripe) and samples
  * through its own LabelSampler::clone(), so the result is
  * bit-deterministic for a fixed seed and stripe count, independent of
  * thread count and OS scheduling; the clones' instrumentation

@@ -3,23 +3,18 @@
  * The chromatic phase engine: the one implementation of the two-color
  * (checkerboard) Gibbs schedule.
  *
- * StripeEngine owns the executor state for a range [k0, k1) of global
- * row stripes — one row arena, trace counter pair and metrics shard
- * per stripe, and the thread pool — and runs one color phase over
- * them.  Every chromatic run is this engine:
+ * StripeEngine owns the executor state for the row stripes of one
+ * run — one row arena, trace counter pair and metrics shard per
+ * stripe, and the thread pool — and runs one color phase over them.
+ * Every chromatic run is this engine:
  *
- *   - CheckerboardGibbsSolver striped: one engine over [0, S);
+ *   - CheckerboardGibbsSolver striped: one executor per stripe, each on
+ *     its own per-(seed, sweep, color, stripe) stream, so the result
+ *     is a function of (seed, stripe count) only, never of the thread
+ *     count;
  *   - CheckerboardGibbsSolver serial (threads == 1, stripes == 0): one
  *     executor over every row that samples through the caller's
- *     sampler on the solver's persistent generator;
- *   - each shard::ShardedCheckerboardSolver rank: one engine over its
- *     TilePartition range, plus the rank's halo exchange.
- *
- * Because striped and sharded runs execute the SAME code for every
- * probabilistic step — the per-(seed, sweep, color, stripe) stream
- * derivation, the stripe-to-row mapping and the batched row update —
- * they stay byte-identical for the same (seed, stripe count), the
- * contract the CI shard-equivalence leg enforces.
+ *     sampler on the solver's persistent generator.
  *
  * Nothing in this header is public API; it is included by the solver
  * translation units (and their tests) only.
@@ -51,9 +46,7 @@ namespace detail {
  * Seed of the RNG stream that drives one (sweep, color, stripe)
  * phase.  Chained SplitMix64 mixes keep distinct coordinates
  * decorrelated, and the derivation depends only on the solver seed and
- * the stripe decomposition — never on which thread (or which shard
- * process) runs the stripe, which is exactly the partition-
- * independence property the sharded solver relies on.
+ * the stripe decomposition — never on which thread runs the stripe.
  */
 inline std::uint64_t
 stripeStreamSeed(std::uint64_t seed, int sweep, int color, int stripe)
@@ -152,10 +145,10 @@ updateRow(const MrfProblem &problem, LabelSampler &sampler,
 }
 
 /**
- * Executors for global stripes [k0, k1) of a chromatic decomposition
- * (see the file comment).  Within one color phase all same-color
- * pixels are conditionally independent (their neighbors all have the
- * other color), so the stripes run concurrently from a consistent
+ * Executors for the stripes of a chromatic decomposition (see the file
+ * comment).  Within one color phase all same-color pixels are
+ * conditionally independent (their neighbors all have the other
+ * color), so the stripes run concurrently from a consistent
  * snapshot — the software analog of the paper's concurrent RSU-G
  * array — and any stripe order yields the same bytes.
  */
@@ -163,15 +156,12 @@ class StripeEngine
 {
   public:
     /**
-     * Stripes [k0, k1) of clones.size(): stripe k samples through
-     * clones[k] on its own (seed, sweep, color, k) stream, so the
-     * result is a function of (seed, stripe count) only, never of the
-     * thread count or of which engine runs the stripe.
+     * One stripe per clone: stripe k samples through clones[k] on its
+     * own (seed, sweep, color, k) stream.
      */
     StripeEngine(const SolverConfig &config, const MrfProblem &problem,
                  img::LabelMap &labels,
-                 const std::vector<std::unique_ptr<LabelSampler>> &clones,
-                 int k0, int k1);
+                 const std::vector<std::unique_ptr<LabelSampler>> &clones);
 
     /** The single-stream schedule: one executor over every row,
      *  sampling through @p sampler on the persistent @p gen. */
@@ -192,9 +182,6 @@ class StripeEngine
     /** Fold the per-stripe metric shards into the registry. */
     void foldMetrics();
 
-    /** Summed stats of the samplers the executors run. */
-    SamplerStats samplerStats() const;
-
   private:
     /** One stripe's private state; executors never share one. */
     struct Executor
@@ -208,8 +195,8 @@ class StripeEngine
 
     StripeEngine(const SolverConfig &config, const MrfProblem &problem,
                  img::LabelMap &labels,
-                 std::vector<LabelSampler *> samplers, int stripes,
-                 int k0, rng::Xoshiro256 *serialGen);
+                 std::vector<LabelSampler *> samplers,
+                 rng::Xoshiro256 *serialGen);
 
     void runStripe(std::size_t i, int sweep, int color,
                    double temperature);
@@ -220,8 +207,6 @@ class StripeEngine
     /** Fetched before the metric shards are made: a shard covers only
      *  the metrics registered before it. */
     const SolverMetricIds &ids_ = SolverMetricIds::get();
-    const int stripes_;
-    const int k0_;
     rng::Xoshiro256 *serialGen_; ///< null = per-phase streams
     std::vector<Executor> execs_;
     std::unique_ptr<util::ThreadPool> pool_;

@@ -86,8 +86,7 @@ GibbsSolver::run(const MrfProblem &problem, LabelSampler &sampler,
                     update_pixel(x, y, temperature);
         }
         frame.endSweep(s, temperature,
-                       trace ? problem.totalEnergy(labels) : 0.0,
-                       sampler.stats());
+                       trace ? problem.totalEnergy(labels) : 0.0);
         if (detail::shouldCheckpoint(config_, s + 1))
             frame.emitCheckpoint(s + 1);
     }
@@ -115,12 +114,6 @@ runSolver(const SolverConfig &config, const MrfProblem &problem,
           LabelSampler &sampler, img::LabelMap &labels,
           SolverTrace *trace)
 {
-    if (config.solverBackend) {
-        SolverConfig inner = config;
-        inner.solverBackend = nullptr;
-        return config.solverBackend(inner, problem, sampler, labels,
-                                    trace);
-    }
     return GibbsSolver(config).run(problem, sampler, labels, trace);
 }
 

@@ -26,21 +26,6 @@ namespace retsim {
 namespace mrf {
 
 struct SolverCheckpoint;
-struct SolverConfig;
-struct SolverTrace;
-class LabelSampler;
-
-/**
- * Pluggable solver entry point: runs a full anneal of @p problem into
- * @p labels and returns the final labeling.  When a SolverConfig
- * carries a non-empty backend, mrf::runSolver() routes the solve
- * through it instead of the default raster GibbsSolver — the hook the
- * shard layer uses to swap in the sharded checkerboard solver without
- * the apps (or mrf itself) linking against it.
- */
-using SolverBackend = std::function<img::LabelMap(
-    const SolverConfig &config, const MrfProblem &problem,
-    LabelSampler &sampler, img::LabelMap &labels, SolverTrace *trace)>;
 
 /** Geometric annealing: T(s) = t0 * ratio^s, floored at tEnd. */
 struct AnnealingSchedule
@@ -71,10 +56,9 @@ struct SolverConfig
      * Worker-thread count for solvers with a chromatic schedule
      * (CheckerboardGibbsSolver).  1 = the serial reference path, 0 =
      * one thread per hardware core, N > 1 = exactly N concurrent
-     * executors.  Sharded runs (shard::ShardedCheckerboardSolver)
-     * apply it per rank, capped at the rank's stripe count.  The
-     * raster/random-scan GibbsSolver is sequentially dependent pixel
-     * to pixel and ignores this knob (it must still be >= 0).
+     * executors.  The raster/random-scan GibbsSolver is sequentially
+     * dependent pixel to pixel and ignores this knob (it must still be
+     * >= 0).
      */
     int threads = 1;
     /**
@@ -137,13 +121,6 @@ struct SolverConfig
      * the restored trace.
      */
     std::shared_ptr<const SolverCheckpoint> resume;
-    /**
-     * Optional replacement solver (see SolverBackend above).  Empty =
-     * the caller's solver choice runs unchanged.  mrf::runSolver()
-     * clears this field on the config it forwards, so a backend can
-     * itself call runSolver without recursing.
-     */
-    SolverBackend solverBackend;
 };
 
 struct SolverTrace
@@ -181,11 +158,8 @@ class GibbsSolver
 };
 
 /**
- * Run a solve through config.solverBackend when one is installed,
- * else through the default raster GibbsSolver.  Applications call
- * this instead of constructing a GibbsSolver directly so that CLI
- * layers (shard/shard_cli.hh) can reroute the whole solve without the
- * app knowing about the backend.
+ * Run a solve through the default raster GibbsSolver: the entry point
+ * the applications share.
  */
 img::LabelMap runSolver(const SolverConfig &config,
                         const MrfProblem &problem, LabelSampler &sampler,

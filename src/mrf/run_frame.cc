@@ -91,44 +91,29 @@ RunFrame::RunFrame(const char *kind, const SolverConfig &config,
     }
 }
 
-SamplerStats
-RunFrame::samplerStats() const
-{
-    SamplerStats cum = sampler_.stats();
-    for (const std::unique_ptr<LabelSampler> &c : clones)
-        cum += c->stats();
-    return cum;
-}
-
 void
-RunFrame::endSweep(int sweep, double temperature, double energy,
-                   const SamplerStats &cum)
+RunFrame::endSweep(int sweep, double temperature, double energy)
 {
     if (trace) {
         trace->energyPerSweep.push_back(energy);
         trace->temperaturePerSweep.push_back(temperature);
     }
-    if (telemetry.active())
+    if (telemetry.active()) {
+        // Caller sampler plus every stripe clone: the run-cumulative
+        // stats a telemetry record differences.
+        SamplerStats cum = sampler_.stats();
+        for (const std::unique_ptr<LabelSampler> &c : clones)
+            cum += c->stats();
         telemetry.recordSweep(sweep, temperature, energy,
                               trace->pixelUpdates, trace->labelChanges,
                               cum);
+    }
     if (config_.sweepObserver)
         config_.sweepObserver(sweep, temperature, labels_);
 }
 
-std::vector<std::vector<std::uint64_t>>
-RunFrame::cloneStates() const
-{
-    std::vector<std::vector<std::uint64_t>> states(clones.size());
-    for (std::size_t k = 0; k < clones.size(); ++k)
-        clones[k]->saveState(states[k]);
-    return states;
-}
-
 void
-RunFrame::emitCheckpoint(
-    int done,
-    const std::vector<std::vector<std::uint64_t>> &stripeStates) const
+RunFrame::emitCheckpoint(int done) const
 {
     SolverCheckpoint cp;
     cp.solverKind = kind_;
@@ -147,7 +132,9 @@ RunFrame::emitCheckpoint(
     gen.saveState(cp.solverGen);
     cp.scanOrder = scanOrder;
     sampler_.saveState(cp.samplerState);
-    cp.stripeSamplerState = stripeStates;
+    cp.stripeSamplerState.resize(clones.size());
+    for (std::size_t k = 0; k < clones.size(); ++k)
+        clones[k]->saveState(cp.stripeSamplerState[k]);
     if (trace)
         cp.trace = *trace;
     detail::emitCheckpoint(config_, cp);

@@ -2,16 +2,15 @@
  * @file
  * The run frame every Gibbs solver shares.
  *
- * GibbsSolver, CheckerboardGibbsSolver and rank 0 of
- * shard::ShardedCheckerboardSolver differ only in how a sweep visits
- * the pixels.  Everything around the sweep loop is the same code and
+ * GibbsSolver and CheckerboardGibbsSolver differ only in how a sweep
+ * visits the pixels.  Everything around the sweep loop is the same code and
  * lives here: the preamble checks, trace selection, the telemetry
  * baseline, label initialization or resume restore (labels, solver
  * generator, caller sampler, trace, start sweep, per-stripe clones),
  * the per-sweep trace/telemetry/observer tail, snapshot capture, and
  * the end-of-run counter adds.  Keeping one copy is what keeps a
- * snapshot from any of the three solvers resumable by the others
- * where their schedules agree.
+ * snapshot from either solver resumable by the other where their
+ * schedules agree.
  *
  * Nothing in this header is public API.
  */
@@ -53,27 +52,16 @@ class RunFrame
     RunFrame(const RunFrame &) = delete;
     RunFrame &operator=(const RunFrame &) = delete;
 
-    /** Caller sampler plus every stripe clone: the run-cumulative
-     *  stats a telemetry record differences. */
-    SamplerStats samplerStats() const;
-
     /**
      * Sweep tail: append @p energy and @p temperature to the trace
      * (when there is one; @p energy is ignored otherwise), emit the
      * telemetry record and call the sweep observer.
      */
-    void endSweep(int sweep, double temperature, double energy,
-                  const SamplerStats &cum);
+    void endSweep(int sweep, double temperature, double energy);
 
-    /** Every stripe clone's saveState(), in stripe order. */
-    std::vector<std::vector<std::uint64_t>> cloneStates() const;
-
-    /** Capture the run after @p done sweeps, with @p stripeStates as
-     *  the per-stripe clone states, and hand it to the sink. */
-    void emitCheckpoint(
-        int done,
-        const std::vector<std::vector<std::uint64_t>> &stripeStates =
-            {}) const;
+    /** Capture the run after @p done sweeps, every stripe clone's
+     *  state included, and hand it to the sink. */
+    void emitCheckpoint(int done) const;
 
     /** End-of-run counter adds, then fold every clone's stats into
      *  the caller sampler in stripe order. */

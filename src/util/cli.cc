@@ -26,29 +26,37 @@ CliArgs::CliArgs(int argc, const char *const *argv)
     }
 }
 
+const std::string *
+CliArgs::find(const std::string &key) const
+{
+    read_.insert(key);
+    auto it = options_.find(key);
+    return it == options_.end() ? nullptr : &it->second;
+}
+
 bool
 CliArgs::has(const std::string &key) const
 {
-    return options_.count(key) != 0;
+    return find(key) != nullptr;
 }
 
 std::string
 CliArgs::getString(const std::string &key, const std::string &def) const
 {
-    auto it = options_.find(key);
-    return it == options_.end() ? def : it->second;
+    const std::string *v = find(key);
+    return v ? *v : def;
 }
 
 long
 CliArgs::getInt(const std::string &key, long def) const
 {
-    auto it = options_.find(key);
-    if (it == options_.end())
+    const std::string *s = find(key);
+    if (!s)
         return def;
     long v = 0;
-    if (!parseLong(it->second, &v))
-        RETSIM_FATAL("option --", key, " expects an integer, got '",
-                     it->second, "'");
+    if (!parseLong(*s, &v))
+        RETSIM_FATAL("option --", key, " expects an integer, got '", *s,
+                     "'");
     return v;
 }
 
@@ -66,28 +74,36 @@ CliArgs::getIntInRange(const std::string &key, long def, long lo,
 double
 CliArgs::getDouble(const std::string &key, double def) const
 {
-    auto it = options_.find(key);
-    if (it == options_.end())
+    const std::string *s = find(key);
+    if (!s)
         return def;
     double v = 0.0;
-    if (!parseDouble(it->second, &v))
+    if (!parseDouble(*s, &v))
         RETSIM_FATAL("option --", key, " expects a finite number, got '",
-                     it->second, "'");
+                     *s, "'");
     return v;
 }
 
 bool
 CliArgs::getBool(const std::string &key, bool def) const
 {
-    auto it = options_.find(key);
-    if (it == options_.end())
+    const std::string *s = find(key);
+    if (!s)
         return def;
-    const std::string &v = it->second;
+    const std::string &v = *s;
     if (v == "true" || v == "1" || v == "yes" || v == "on")
         return true;
     if (v == "false" || v == "0" || v == "no" || v == "off")
         return false;
     RETSIM_FATAL("option --", key, " expects a boolean, got '", v, "'");
+}
+
+void
+CliArgs::rejectUnread() const
+{
+    for (const auto &[key, value] : options_)
+        if (read_.count(key) == 0)
+            RETSIM_FATAL("unknown option --", key);
 }
 
 } // namespace util

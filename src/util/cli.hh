@@ -4,7 +4,9 @@
  *
  * Accepts "--key=value" and "--flag" arguments; anything else is kept
  * as a positional argument.  Typed getters fall back to a default and
- * fatal() on malformed values so misconfiguration is loud.
+ * fatal() on malformed values so misconfiguration is loud.  Every key
+ * has() or a getter asks for is recorded, so rejectUnread() can make a
+ * flag that no code reads (a typo, or a removed option) fatal too.
  */
 
 #ifndef RETSIM_UTIL_CLI_HH
@@ -12,6 +14,7 @@
 
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -55,12 +58,23 @@ class CliArgs
 
     const std::string &programName() const { return program_; }
 
+    /**
+     * Call once after the last flag read: fatal, naming the flag, when
+     * the command line set a --key that neither has() nor a getter
+     * asked for.
+     */
+    void rejectUnread() const;
+
   private:
     long getIntInRange(const std::string &key, long def, long lo,
                        long hi) const;
 
     std::string program_;
+    /** Looks @p key up and records that it was read. */
+    const std::string *find(const std::string &key) const;
+
     std::map<std::string, std::string> options_;
+    mutable std::set<std::string> read_;
     std::vector<std::string> positional_;
 };
 

@@ -9,9 +9,9 @@
  * Gibbs schedule with exact Boltzmann conditionals (SoftwareSampler)
  * has that law as its stationary distribution, so the final states of
  * many independent chains — one seed each, run well past burn-in —
- * must histogram to it.  Raster, random-scan, serial checkerboard,
- * striped checkerboard and 2-shard runs are each checked with a
- * chi-square test; bins whose expected count is below 5 are pooled.
+ * must histogram to it.  Raster, random-scan, serial checkerboard and
+ * striped checkerboard runs are each checked with a chi-square test;
+ * bins whose expected count is below 5 are pooled.
  *
  * The random-scan law also needs a uniform visit order, which the
  * state histogram is too coarse to see; RandomScanOrderIsUniform
@@ -34,7 +34,6 @@
 #include "mrf/gibbs.hh"
 #include "mrf/problem.hh"
 #include "rng/rng.hh"
-#include "shard/sharded_solver.hh"
 #include "util/chi_square.hh"
 
 namespace {
@@ -274,21 +273,6 @@ TEST(ExactLaw, StripedCheckerboard)
     mrf::SolverConfig cfg = fixedTemperature();
     cfg.stripes = kHeight;
     expectSamplesExactLaw(p, exactLaw(p), cfg, checkerboard);
-}
-
-TEST(ExactLaw, TwoShardCheckerboard)
-{
-    const mrf::MrfProblem p = tinyProblem();
-    mrf::SolverConfig cfg = fixedTemperature();
-    cfg.stripes = kHeight;
-    shard::ShardOptions options;
-    options.shards = 2;
-    expectSamplesExactLaw(
-        p, exactLaw(p), cfg,
-        [&](const mrf::SolverConfig &c, const mrf::MrfProblem &q,
-            mrf::LabelSampler &s) {
-            return shard::ShardedCheckerboardSolver(c, options).run(q, s);
-        });
 }
 
 } // namespace

@@ -241,12 +241,25 @@ TEST(CliHardeningDeathTest, OutOfRangeIntegerFlagsAreFatalNotWrapped)
                 "--labels=0 is out of range");
 }
 
+TEST(CliHardeningDeathTest, UnreadFlagsAreFatal)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // A removed option (or a typo) must not quietly run the defaults.
+    const char *argv[] = {"prog", "--sweeps=25", "--shards=2",
+                          "--verbose"};
+    util::CliArgs args(4, argv);
+    EXPECT_EQ(args.getIntIn("sweeps", 1, 1), 25);
+    EXPECT_TRUE(args.has("verbose"));
+    EXPECT_EXIT(args.rejectUnread(), ::testing::ExitedWithCode(1),
+                "unknown option --shards");
+}
+
 TEST(CliHardening, WellFormedFlagsStillParse)
 {
     const char *argv[] = {"prog", "--sweeps=25", "--t0=4.5",
                           "scene.pgm", "--threads=2147483647",
-                          "--seed=9223372036854775807"};
-    util::CliArgs args(6, argv);
+                          "--seed=9223372036854775807", "--quick"};
+    util::CliArgs args(7, argv);
     EXPECT_EQ(args.getIntIn("sweeps", 1, 1), 25);
     EXPECT_EQ(args.getIntIn("threads", 1, 0), 2147483647);
     EXPECT_EQ(args.getIntIn<std::uint64_t>("seed", 1, 0),
@@ -257,6 +270,10 @@ TEST(CliHardening, WellFormedFlagsStillParse)
     EXPECT_EQ(args.getInt("absent", 9), 9);
     ASSERT_EQ(args.positional().size(), 1u);
     EXPECT_EQ(args.positional()[0], "scene.pgm");
+    // Every flag has been read and positionals are not flags, so this
+    // returns.
+    EXPECT_TRUE(args.getBool("quick", false));
+    args.rejectUnread();
 }
 
 // ------------------------------------------------------------------

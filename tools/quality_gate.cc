@@ -26,10 +26,6 @@
  *                          runs that started before K)
  *   --values-out=P         dump the observed metric values as JSON
  *
- * Sharded runs (--shards=N) additionally honor the schedule knob
- * --threads= (shard/shard_cli.hh); the CI leg proves the values file
- * stays byte-identical across every combination.
- *
  * Looping "run until exit 0" with --resume and --die-at-sweep kills
  * and resumes each app in turn; because resume is bit-exact, the
  * final --values-out file is byte-identical to an uninterrupted run's.
@@ -53,7 +49,6 @@
 #include "img/synthetic.hh"
 #include "mrf/checkpoint.hh"
 #include "obs/telemetry_cli.hh"
-#include "shard/shard_cli.hh"
 #include "util/cli.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
@@ -91,18 +86,6 @@ constexpr MetricDef kMetrics[] = {
  *  runs the gate under fastpath against the same baselines). */
 core::RaceMode g_race_mode = core::RaceMode::Race;
 
-/** `--shards=`: when shards > 1 every app solves through the sharded
- *  checkerboard solver.  Sharding implies the chromatic schedule, so
- *  the pinned raster baselines do not apply — sharded runs skip the
- *  baseline comparison and are validated by comparing --values-out
- *  files across runs instead (the CI shard-equivalence leg). */
-shard::ShardOptions g_shard_options;
-
-/** `--threads=` (-1 = absent): schedule-only solver knob applied to
- *  every app config; results are byte-identical for any setting, so
- *  the gated metrics must not move. */
-int g_threads = -1;
-
 core::RsuSampler
 makeSampler()
 {
@@ -131,8 +114,6 @@ void
 armCheckpointing(mrf::SolverConfig &cfg, const CheckpointDrill &drill,
                  const std::string &app)
 {
-    shard::applyThreads(g_threads, &cfg);
-    shard::applyShardBackend(g_shard_options, &cfg);
     if (drill.dir.empty())
         return;
     const std::string path = drill.dir + "/" + app + ".ckpt";
@@ -166,10 +147,10 @@ armCheckpointing(mrf::SolverConfig &cfg, const CheckpointDrill &drill,
                              "after sweep %d (snapshot %s)\n",
                              app.c_str(), cp.sweepsDone,
                              path.c_str());
-                // The sink runs on the solver's thread, and a sharded
-                // solve still has live rank threads: std::exit would
-                // run static destructors under them.  The snapshot is
-                // already on disk, so flush stdio and leave at once.
+                // The sink runs inside the solve: std::exit would run
+                // static destructors under its live frames.  The
+                // snapshot is already on disk, so flush stdio and
+                // leave at once.
                 std::fflush(nullptr);
                 std::_Exit(17);
             }
@@ -376,9 +357,6 @@ main(int argc, char **argv)
 {
     util::CliArgs args(argc, argv);
     g_race_mode = core::raceModeFromCli(args);
-    g_shard_options = shard::shardOptionsFromCli(args);
-    g_threads = shard::threadsFromCli(args);
-    const bool sharded = g_shard_options.shards > 1;
     const std::string baselines = args.getString(
         "baselines", "tests/golden/quality_baselines.json");
 
@@ -397,10 +375,12 @@ main(int argc, char **argv)
          args.has("checkpoint-every")))
         RETSIM_FATAL("--resume/--die-at-sweep/--checkpoint-every "
                      "require --checkpoint-dir");
+    const std::string values_out = args.getString("values-out", "");
+    const bool update = args.getBool("update-baselines", false);
+    args.rejectUnread();
 
     std::map<std::string, double> values = runMiniatureApps(drill);
 
-    const std::string values_out = args.getString("values-out", "");
     if (!values_out.empty()) {
         std::ofstream out(values_out);
         if (!out) {
@@ -414,17 +394,7 @@ main(int argc, char **argv)
         out << root.dump(2) << "\n";
     }
 
-    if (args.getBool("update-baselines", false))
+    if (update)
         return updateBaselines(baselines, values);
-    if (sharded) {
-        // The baselines pin the raster solver's output; sharded runs
-        // use the chromatic schedule, so equivalence is proven by
-        // byte-comparing --values-out files across shard counts and
-        // thread counts instead (the CI shard-equivalence leg).
-        std::printf("quality_gate: sharded run (--shards=%d), "
-                    "skipping raster baseline comparison\n",
-                    g_shard_options.shards);
-        return 0;
-    }
     return compareAgainst(baselines, values);
 }

@@ -268,6 +268,7 @@ main(int argc, char **argv)
     const int sweeps = args.getIntIn("sweeps", 16, 2);
     const int kill_at = args.getIntIn("kill-at", 7, 1);
     const std::string tmpdir = args.getString("tmpdir", ".");
+    args.rejectUnread();
     if (kill_at >= sweeps) {
         std::fprintf(stderr,
                      "replay_check: need 1 <= kill-at < sweeps\n");
